@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 from dataclasses import dataclass
 
 from .core import (
@@ -48,11 +49,13 @@ from .projinj import (
 from .semisimple import (
     comsum_check,
     condition_profile,
+    module_test_family,
     semiring_simplicity_profile,
     semisimplicity_profile,
     simplicity_profile,
 )
 from .summands import (
+    _longest_chain,
     decomposition_from_parts,
     golan_condition3,
     is_direct_sum,
@@ -291,18 +294,8 @@ class InstanceFacts:
                 canonical_short_exact(self.m, sub), limits)
         self.right_split = all(p.right is not None for p in self.splittings.values())
         self.left_split = all(p.left is not None for p in self.splittings.values())
-        self.k_chain = _longest_chain_length([sub.members for sub in self.subtractive])
+        self.k_chain = _longest_chain([sub.members for sub in self.subtractive])
         self.summand_chain = self.poset.max_chain_length
-
-
-def _longest_chain_length(masks: list[int]) -> int:
-    order = sorted(masks, key=lambda x: x.bit_count())
-    best = {mask: 1 for mask in order}
-    for i, a in enumerate(order):
-        for b in order[i + 1:]:
-            if a != b and a & b == a:
-                best[b] = max(best[b], best[a] + 1)
-    return max(best.values(), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -401,19 +394,28 @@ def _splitting_witness(f: InstanceFacts) -> str:
             f"retraction for its sequence: {left}")
 
 
-def _idssc1_items(f: InstanceFacts) -> tuple[dict, dict]:
-    c2 = f.cprofile.c2
-    items = {
-        1: None if f.all_subtractive_summands is None else (f.all_subtractive_summands and c2),
-        2: None if f.e_proj is None else (f.e_proj and c2),
-        3: None if f.k_proj is None else (f.k_proj and c2),
-        4: None if f.quotients_k_proj is None else (f.quotients_k_proj and c2),
-        5: None if f.right_split is None else (f.right_split and c2),
-        6: c2,
-        7: c2,
-        8: c2,
-        9: f.ssprofile.ideal_semisimple,
+def _condition_items(f: InstanceFacts, cond: bool, semisimple: bool) -> dict:
+    """Items of thm-idssc1 (``cond`` is C2) and thm-cong-c2 (C2'): items
+    1-5 pair a projectivity fact with ``cond``, 6-8 are ``cond`` alone and
+    9 is the matching semisimplicity."""
+    def with_cond(fact: bool | None) -> bool | None:
+        return None if fact is None else (fact and cond)
+
+    return {
+        1: with_cond(f.all_subtractive_summands),
+        2: with_cond(f.e_proj),
+        3: with_cond(f.k_proj),
+        4: with_cond(f.quotients_k_proj),
+        5: with_cond(f.right_split),
+        6: cond,
+        7: cond,
+        8: cond,
+        9: semisimple,
     }
+
+
+def _idssc1_items(f: InstanceFacts) -> tuple[dict, dict]:
+    items = _condition_items(f, f.cprofile.c2, f.ssprofile.ideal_semisimple)
     witnesses = {
         1: _splitting_witness(f),
         5: "all canonical sequences right split" if f.right_split else "",
@@ -423,18 +425,7 @@ def _idssc1_items(f: InstanceFacts) -> tuple[dict, dict]:
 
 
 def _congc2_items(f: InstanceFacts) -> tuple[dict, dict]:
-    c2p = f.cprofile.c2prime
-    items = {
-        1: None if f.all_subtractive_summands is None else (f.all_subtractive_summands and c2p),
-        2: None if f.e_proj is None else (f.e_proj and c2p),
-        3: None if f.k_proj is None else (f.k_proj and c2p),
-        4: None if f.quotients_k_proj is None else (f.quotients_k_proj and c2p),
-        5: None if f.right_split is None else (f.right_split and c2p),
-        6: c2p,
-        7: c2p,
-        8: c2p,
-        9: f.ssprofile.congruence_semisimple,
-    }
+    items = _condition_items(f, f.cprofile.c2prime, f.ssprofile.congruence_semisimple)
     return items, {1: _splitting_witness(f)}
 
 
@@ -518,11 +509,7 @@ def lemma_suite(s: SemiringTable, limits: Limits = DEFAULT_LIMITS,
                                verdict="holds" if ok else "fails",
                                witness=witness, exhaustive=True))
 
-    family = [m]
-    for sub in enumerate_subsemimodules(m, limits):
-        family.append(sub_module(sub)[0])
-    for rho in enumerate_congruences(m, limits):
-        family.append(quotient_by_congruence(m, rho)[0])
+    family = module_test_family(m, limits)
 
     # map characterizations of both simplicities (raises on engine bugs)
     for mod in family:
@@ -530,11 +517,8 @@ def lemma_suite(s: SemiringTable, limits: Limits = DEFAULT_LIMITS,
     record("lem-cong-s-char", True, f"checked on {len(family)} modules")
     record("lem-id-ss-char", True, f"checked on {len(family)} modules")
 
-    # ACC <=> DCC on summands: both trivially terminate; record lengths
-    for mod in family:
-        poset = summand_poset(mod, limits)
-        record("lem-dcc-acc", True, f"chain length {poset.max_chain_length}")
-        break
+    # ACC <=> DCC on summands: both trivially terminate; record the length
+    record("lem-dcc-acc", True, f"chain length {summand_poset(m, limits).max_chain_length}")
 
     golan_ok = True
     lemint_ok = True
@@ -581,7 +565,7 @@ def lemma_suite(s: SemiringTable, limits: Limits = DEFAULT_LIMITS,
                      irreducible_decomposition(s, limits).part_masks()]
             if len(parts) >= 2:
                 dec = decomposition_from_parts(mod, parts)
-                comps = [e.image_of[_unit_index(s)] for e in dec.projections]
+                comps = [e.image_of[s.one] for e in dec.projections]
                 if any(c == mod.zero for c in comps):
                     rem1_ok = False
             if not projection_identities_hold(
@@ -606,10 +590,6 @@ def lemma_suite(s: SemiringTable, limits: Limits = DEFAULT_LIMITS,
     record("rem-rem1", rem1_ok)
     record("cor-m-l", corml_ok, witness if not corml_ok else "")
     return out
-
-
-def _unit_index(s: SemiringTable) -> int:
-    return s.one
 
 
 def _direct_inside(mod: SemimoduleTable, nmask: int, lmask: int, kmask: int) -> bool:
@@ -766,12 +746,18 @@ def fixture_expectation_records(limits: Limits = DEFAULT_LIMITS) -> list[ClaimRe
     b31 = catalog.make_B(3, 1)
     m31 = b31.left_module()
     i_sub = SubStructure(m31, 0b101)
-    quot, _ = quotient_by_congruence(m31, bourne_congruence(m31, i_sub))
+    rho = bourne_congruence(m31, i_sub)
+    quot, _ = quotient_by_congruence(m31, rho)
     imod = sub_module(i_sub)[0]
+    # quotient element c is class c of rho, written [its least member]
+    cls = [f"[{next(bits(mask))}]" for mask in rho.class_masks()]
+    nonzero = [f"{cls[c]}+{cls[c]}={cls[quot.add[c][c]]}"
+               for c in range(quot.order) if c != quot.zero]
+    idempotent = all(imod.add[x][x] == x for x in range(imod.order))
     expect("B(3,1)", "ex-b31.quotient-iso-ideal", True,
            are_isomorphic(quot, imod),
-           "claimed S/I and I isomorphic; computed quotient has [1]+[1]=[0] "
-           "while the ideal is additively idempotent")
+           f"claimed S/I and I isomorphic; computed quotient has {', '.join(nonzero)} "
+           f"while the ideal is {'' if idempotent else 'not '}additively idempotent")
     for p in (3, 5):
         s = catalog.make_B(p + 1, p)
         m = s.left_module()
@@ -786,10 +772,13 @@ def fixture_expectation_records(limits: Limits = DEFAULT_LIMITS) -> list[ClaimRe
             cp = condition_profile(e, limits)
             rows[variant] = (sp.congruence_simple, not sp.ideal_simple,
                              cp.c2prime, not cp.c2)
+        satisfying = [variant for variant, row in rows.items() if all(row)]
         expect(name, "rem-indp.5", (True, True, True, True), rows["all-endos"],
                f"claimed (cong-simple, not ideal-simple, C2', not C2) = all true; "
                f"computed all-endos={rows['all-endos']}, "
-               f"top-preserving={rows['top-preserving']}; no variant satisfies all four")
+               f"top-preserving={rows['top-preserving']}; "
+               + (f"all four hold for {', '.join(satisfying)}" if satisfying
+                  else "no variant satisfies all four"))
     return out
 
 
@@ -853,10 +842,11 @@ def audit_corpus(order_bound: int = 3, commutative_only: bool = False,
         for name, s in _catalog_fixtures():
             tasks.append((s, limits, name))
         extra.extend(fixture_expectation_records(limits))
-    if parallelism > 1 and len(tasks) > 1:
+    workers = min(parallelism, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(parallelism) as pool:
+        with multiprocessing.Pool(workers) as pool:
             reports = pool.map(_audit_one, tasks)
     else:
         reports = [_audit_one(t) for t in tasks]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .auditor import audit_corpus
+from .auditor import _fmt_mask, audit_corpus
 from .catalog import (
     make_B,
     make_end_semiring,
@@ -18,7 +18,7 @@ from .catalog import (
     make_matrix_semiring,
     make_product,
 )
-from .core import DEFAULT_LIMITS, Limits, bits, enumerate_congruences, enumerate_subsemimodules
+from .core import DEFAULT_LIMITS, Limits, enumerate_congruences, enumerate_subsemimodules
 from .errors import AxiomViolations, EngineError
 from .semisimple import condition_profile, semisimplicity_profile, simplicity_profile
 from .summands import irreducible_decomposition, summand_poset
@@ -61,10 +61,6 @@ def _first_semiring(path: str):
     return parsed.semirings[0]
 
 
-def _mask_str(mask: int) -> str:
-    return "{" + ",".join(str(i) for i in bits(mask)) + "}"
-
-
 def cmd_validate(args) -> int:
     try:
         parsed = parse_text(_read_file(args.file))
@@ -98,12 +94,12 @@ def cmd_analyze(args) -> int:
     print(f"left ideals: {len(subs)}{'' if subs.exhaustive else ' (truncated)'}")
     for t in subs:
         tag = " subtractive" if t.is_subtractive() else ""
-        print(f"  {_mask_str(t.members)}{tag}")
+        print(f"  {_fmt_mask(t.members)}{tag}")
     print(f"subtractive ideals: {len(subt)}")
     print(f"congruences: {len(cons)}{'' if cons.exhaustive else ' (truncated)'}")
     for rho in cons:
         print(f"  classes {list(rho.class_of)}")
-    print(f"direct summands: {[ _mask_str(x) for x in poset.masks() ]}")
+    print(f"direct summands: {[ _fmt_mask(x) for x in poset.masks() ]}")
     print(f"ideal-simple: {simp.ideal_simple}  congruence-simple: {simp.congruence_simple}")
     print(f"ideal-semisimple: {ss.ideal_semisimple}  "
           f"congruence-semisimple: {ss.congruence_semisimple}")
@@ -117,7 +113,7 @@ def cmd_decompose(args) -> int:
     dec = irreducible_decomposition(s, limits)
     print(f"irreducible summands: {len(dec.parts)}")
     for part, proj in zip(dec.parts, dec.projections):
-        print(f"  part {_mask_str(part.members)} projection {list(proj.image_of)}")
+        print(f"  part {_fmt_mask(part.members)} projection {list(proj.image_of)}")
     return 0
 
 

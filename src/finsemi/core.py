@@ -366,12 +366,14 @@ class SubStructure:
         return f"SubStructure({sorted(bits(self.members))})"
 
 
-def _closure_mask(m: SemimoduleTable, seed: int) -> int:
-    """Smallest add/act-closed subset containing ``seed`` and zero."""
-    add, act = m.add, m.act
+def _closure_mask(m: Parent, seed: int) -> int:
+    """Smallest subset containing ``seed`` and zero that is closed under
+    addition and under every map of ``_scalar_rows(m)``: a subsemimodule,
+    or a two-sided ideal when ``m`` is a semiring."""
+    add = m.add
+    rows = _scalar_rows(m)
     mask = seed | 1 << m.zero
     work = list(bits(mask))
-    n_base = m.base.order
     while work:
         x = work.pop()
         row = add[x]
@@ -380,8 +382,8 @@ def _closure_mask(m: SemimoduleTable, seed: int) -> int:
             if not mask >> z & 1:
                 mask |= 1 << z
                 work.append(z)
-        for s in range(n_base):
-            z = act[s][x]
+        for t in rows:
+            z = t[x]
             if not mask >> z & 1:
                 mask |= 1 << z
                 work.append(z)
@@ -510,19 +512,24 @@ def universal_partition(parent: Parent) -> CongruencePartition:
     return CongruencePartition(parent, (0,) * parent.order)
 
 
+def _scalar_rows(parent: Parent) -> Sequence[tuple[int, ...]]:
+    """The scalar maps of ``parent`` as image rows: the action of each
+    scalar on a semimodule; left and right multiplication by each element,
+    interleaved, on a semiring."""
+    if isinstance(parent, SemimoduleTable):
+        return parent.act
+    out = []
+    for c in range(parent.order):
+        out.append(parent.mul[c])
+        out.append(tuple(row[c] for row in parent.mul))
+    return out
+
+
 def _translations(parent: Parent) -> list[tuple[int, ...]]:
     """Unary polynomial translations generating all compatibility constraints."""
     n = parent.order
-    out: list[tuple[int, ...]] = []
-    for c in range(n):
-        out.append(tuple(parent.add[x][c] for x in range(n)))
-    if isinstance(parent, SemimoduleTable):
-        for s in range(parent.base.order):
-            out.append(tuple(parent.act[s]))
-    else:
-        for c in range(n):
-            out.append(tuple(parent.mul[c][x] for x in range(n)))
-            out.append(tuple(parent.mul[x][c] for x in range(n)))
+    out = [tuple(parent.add[x][c] for x in range(n)) for c in range(n)]
+    out.extend(_scalar_rows(parent))
     return out
 
 
@@ -599,14 +606,7 @@ def bourne_congruence(m: SemimoduleTable, sub: SubStructure) -> CongruencePartit
     if sub.parent != m:
         raise IncompatiblePartition("substructure belongs to a different module")
     n = m.order
-    add = m.add
-    reach = [0] * n
-    for x in range(n):
-        r = 0
-        row = add[x]
-        for u in sub.elements():
-            r |= 1 << row[u]
-        reach[x] = r
+    reach = _reach(m.add, sub.members)
     uf = _UnionFind(n)
     for a in range(n):
         ra = reach[a]
@@ -618,6 +618,35 @@ def bourne_congruence(m: SemimoduleTable, sub: SubStructure) -> CongruencePartit
     if part.zero_class_mask() != sub.subtractive_closure_members:
         raise IncompatiblePartition("zero class differs from the subtractive closure")
     return part
+
+
+def _reach(add: Table, mask: int) -> list[int]:
+    """``reach[x]`` is the mask of x + u over u in ``mask``; x and y are
+    Bourne-related through ``mask`` when their reaches meet."""
+    members = list(bits(mask))
+    out = []
+    for row in add:
+        r = 0
+        for u in members:
+            r |= 1 << row[u]
+        out.append(r)
+    return out
+
+
+def _is_k_normal(add: Table, image_of: Sequence[int], kernel_mask: int) -> bool:
+    """Whether a map given by ``image_of`` on a carrier with addition ``add``
+    is k-normal: f(x) = f(y) implies x + k = y + k' for some k, k' in the
+    kernel."""
+    reach = _reach(add, kernel_mask)
+    by_value: dict[int, list[int]] = {}
+    for x, v in enumerate(image_of):
+        by_value.setdefault(v, []).append(x)
+    for xs in by_value.values():
+        for i, x in enumerate(xs):
+            for y in xs[i + 1:]:
+                if not reach[x] & reach[y]:
+                    return False
+    return True
 
 
 def quotient_by_congruence(m: SemimoduleTable, rho: CongruencePartition):

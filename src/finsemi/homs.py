@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .core import (
     DEFAULT_LIMITS,
@@ -14,7 +15,9 @@ from .core import (
     Limits,
     SemimoduleTable,
     SubStructure,
-    bits,
+    Table,
+    _closure_mask,
+    _is_k_normal,
     bourne_congruence,
     identity_map,
     inclusion_map,
@@ -33,8 +36,6 @@ from .errors import NotComposable
 @lru_cache(maxsize=65536)
 def generating_set(m: SemimoduleTable) -> tuple[int, ...]:
     """A small generating set, grown greedily in ascending element order."""
-    from .core import _closure_mask
-
     gens: list[int] = []
     closed = _closure_mask(m, 0)
     while closed != (1 << m.order) - 1:
@@ -248,6 +249,20 @@ def _enumerate_homs_cached(source: SemimoduleTable, target: SemimoduleTable,
     return Enumeration(items=tuple(found), exhaustive=exhaustive)
 
 
+def _pointwise_sums(target: SemimoduleTable, maps: Sequence[LinearMap]
+                    ) -> tuple[Table, dict[tuple[int, ...], int]]:
+    """Pointwise addition on ``maps`` (all into ``target`` and closed under
+    pointwise sums) as a table of indices into ``maps``, plus the index of
+    each image array."""
+    index = {f.image_of: i for i, f in enumerate(maps)}
+    tadd = target.add
+    add = tuple(
+        tuple(index[tuple(tadd[a][b] for a, b in zip(f.image_of, g.image_of))] for g in maps)
+        for f in maps
+    )
+    return add, index
+
+
 # ---------------------------------------------------------------------------
 # kernels, images, normality
 
@@ -270,31 +285,8 @@ class NormalityProfile:
 
 
 def normality_profile(f: LinearMap) -> NormalityProfile:
-    src, tgt = f.source, f.target
-    ker_mask = f.kernel_mask()
-    reach = [0] * src.order
-    for x in range(src.order):
-        row = src.add[x]
-        r = 0
-        for k in bits(ker_mask):
-            r |= 1 << row[k]
-        reach[x] = r
-    k_normal = True
-    by_value: dict[int, list[int]] = {}
-    for x, v in enumerate(f.image_of):
-        by_value.setdefault(v, []).append(x)
-    for xs in by_value.values():
-        for i, x in enumerate(xs):
-            for y in xs[i + 1:]:
-                if not reach[x] & reach[y]:
-                    k_normal = False
-                    break
-            if not k_normal:
-                break
-        if not k_normal:
-            break
-    img = SubStructure(tgt, f.image_mask())
-    i_normal = img.is_subtractive()
+    k_normal = _is_k_normal(f.source.add, f.image_of, f.kernel_mask())
+    i_normal = SubStructure(f.target, f.image_mask()).is_subtractive()
     return NormalityProfile(k_normal=k_normal, i_normal=i_normal)
 
 
@@ -302,30 +294,12 @@ def normality_profile(f: LinearMap) -> NormalityProfile:
 # isomorphism search
 
 
-def _element_profile(m: SemimoduleTable, x: int) -> tuple:
-    seen = {x: 0}
-    cur = x
-    step = 0
-    while True:
-        cur = m.add[cur][x]
-        step += 1
-        if cur in seen:
-            tail = seen[cur]
-            return (
-                tail,
-                step - tail,
-                sum(1 for s in range(m.base.order) if m.act[s][x] == m.zero),
-                sum(1 for s in range(m.base.order) if m.act[s][x] == x),
-            )
-        seen[cur] = step
-
-
 def find_isomorphism(m: SemimoduleTable, n: SemimoduleTable) -> LinearMap | None:
     """First S-linear bijection m -> n in canonical order, or None."""
     if m.base != n.base or m.order != n.order:
         return None
-    prof_m = [_element_profile(m, x) for x in range(m.order)]
-    prof_n = [_element_profile(n, x) for x in range(n.order)]
+    prof_m = [_scalar_signature(m, x) for x in range(m.order)]
+    prof_n = [_scalar_signature(n, x) for x in range(n.order)]
     if sorted(prof_m) != sorted(prof_n):
         return None
     gens = generating_set(m)
@@ -336,7 +310,7 @@ def find_isomorphism(m: SemimoduleTable, n: SemimoduleTable) -> LinearMap | None
     def rec(i: int, partial: tuple[int, ...]):
         if i == len(gens):
             img = _replay(m, n, partial)
-            if img is None or len(set(img)) != n.order:
+            if len(set(img)) != n.order:
                 return None
             if linear_map_violations(m, n, img):
                 return None

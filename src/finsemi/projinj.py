@@ -21,16 +21,18 @@ from .core import (
     SemiringTable,
     SubStructure,
     Table,
+    _is_k_normal,
     bourne_congruence,
     enumerate_congruences,
     enumerate_subsemimodules,
     inclusion_map,
+    mask_of,
+    product_module,
     quotient_by_congruence,
     sub_module,
 )
 from .errors import LimitExceeded
-from .homs import are_isomorphic, canonical_short_exact, enumerate_homs
-from .core import product_module
+from .homs import _pointwise_sums, are_isomorphic, canonical_short_exact, enumerate_homs
 
 
 # ---------------------------------------------------------------------------
@@ -88,58 +90,9 @@ def hom_monoid(source: SemimoduleTable, target: SemimoduleTable,
     if not homs.exhaustive:
         raise LimitExceeded("hom enumeration truncated")
     maps = homs.items
-    index = {f.image_of: i for i, f in enumerate(maps)}
-    n = source.order
-    add = tuple(
-        tuple(index[tuple(target.add[f.image_of[x]][g.image_of[x]] for x in range(n))]
-              for g in maps)
-        for f in maps
-    )
-    zero = index[(target.zero,) * n]
+    add, index = _pointwise_sums(target, maps)
+    zero = index[(target.zero,) * source.order]
     return Monoid(order=len(maps), add=add, zero=zero), maps
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _monoid_junction_exact(src: Monoid, mid: Monoid, tgt: Monoid,
-                           first: tuple[int, ...], second: tuple[int, ...]) -> bool:
-    image_mask = 0
-    for v in first:
-        image_mask |= 1 << v
-    kernel_mask = sum(1 << i for i, v in enumerate(second) if v == tgt.zero)
-    if image_mask != kernel_mask:
-        return False
-    # k-normality of the second map at the monoid level
-    reach = [0] * mid.order
-    for x in range(mid.order):
-        row = mid.add[x]
-        r = 0
-        for k in _bits(kernel_mask):
-            r |= 1 << row[k]
-        reach[x] = r
-    by_value: dict[int, list[int]] = {}
-    for x, v in enumerate(second):
-        by_value.setdefault(v, []).append(x)
-    for xs in by_value.values():
-        for i, x in enumerate(xs):
-            for y in xs[i + 1:]:
-                if not reach[x] & reach[y]:
-                    return False
-    return True
-
-
-def _monoid_short_exact(h_l: Monoid, h_m: Monoid, h_n: Monoid,
-                        first: tuple[int, ...], second: tuple[int, ...]) -> dict[str, bool]:
-    injective = len(set(first)) == h_l.order
-    surjective = len(set(second)) == h_n.order
-    middle = _monoid_junction_exact(h_l, h_m, h_n, first, second)
-    return {"left": injective, "middle": middle, "right": surjective,
-            "exact": injective and middle and surjective}
 
 
 # ---------------------------------------------------------------------------
@@ -189,97 +142,96 @@ def _subtractive_subs(m: SemimoduleTable, limits: Limits) -> list[SubStructure]:
     return list(subt)
 
 
+def _lifting_report(kind: str, m: SemimoduleTable,
+                    candidate_ends: tuple[SemimoduleTable, SemimoduleTable],
+                    limits: Limits, problem) -> DeciderReport:
+    """Solve the lifting (or extension) problem posed by each subtractive
+    K <= M.
+
+    The candidates are the homs between ``candidate_ends``; they do not
+    depend on K.  ``problem(K)`` returns ``(push, tests)``: ``push`` carries
+    a candidate through the fixed map of the problem, and each test map must
+    arise that way.  The witness is the first candidate in canonical order.
+    """
+    subs = _subtractive_subs(m, limits)
+    candidates = enumerate_homs(*candidate_ends, limits)
+    if not candidates.exhaustive:
+        raise LimitExceeded("hom enumeration truncated")
+    records = []
+    for sub in subs:
+        push, tests = problem(sub)
+        solved = {push(h).image_of: h for h in reversed(candidates.items)}
+        for g in tests:
+            h = solved.get(g.image_of)
+            records.append(LiftingProblem(
+                kind=kind, kernel_mask=sub.members, test_map=g.image_of,
+                witness=None if h is None else h.image_of))
+    holds = all(r.witness is not None for r in records)
+    return DeciderReport(kind=kind, holds=holds, records=tuple(records))
+
+
 def is_k_projective(p: SemimoduleTable, m: SemimoduleTable,
                     limits: Limits = DEFAULT_LIMITS) -> DeciderReport:
     """Every map p -> M/K lifts through the canonical projection."""
-    records = []
-    holds = True
-    for sub in _subtractive_subs(m, limits):
+    def problem(sub):
         quot, proj = quotient_by_congruence(m, bourne_congruence(m, sub))
-        candidates = enumerate_homs(p, m, limits)
-        if not candidates.exhaustive:
-            raise LimitExceeded("hom enumeration truncated")
-        lifted = {proj.compose(h).image_of: h for h in reversed(candidates.items)}
-        for g in enumerate_homs(p, quot, limits):
-            h = lifted.get(g.image_of)
-            records.append(LiftingProblem(
-                kind="k-projective", kernel_mask=sub.members,
-                test_map=g.image_of,
-                witness=None if h is None else h.image_of))
-            if h is None:
-                holds = False
-    return DeciderReport(kind="k-projective", holds=holds, records=tuple(records))
+        return proj.compose, enumerate_homs(p, quot, limits)
+    return _lifting_report("k-projective", m, (p, m), limits, problem)
 
 
 def is_i_injective(j: SemimoduleTable, m: SemimoduleTable,
                    limits: Limits = DEFAULT_LIMITS) -> DeciderReport:
     """Every map K -> j from a subtractive K <= M extends over M."""
-    records = []
-    holds = True
-    for sub in _subtractive_subs(m, limits):
+    def problem(sub):
         part, incl = inclusion_map(sub)
-        candidates = enumerate_homs(m, j, limits)
-        if not candidates.exhaustive:
-            raise LimitExceeded("hom enumeration truncated")
-        restricted = {h.compose(incl).image_of: h for h in reversed(candidates.items)}
-        for g in enumerate_homs(part, j, limits):
-            h = restricted.get(g.image_of)
-            records.append(LiftingProblem(
-                kind="i-injective", kernel_mask=sub.members,
-                test_map=g.image_of,
-                witness=None if h is None else h.image_of))
-            if h is None:
-                holds = False
-    return DeciderReport(kind="i-injective", holds=holds, records=tuple(records))
+        return (lambda h: h.compose(incl)), enumerate_homs(part, j, limits)
+    return _lifting_report("i-injective", m, (m, j), limits, problem)
+
+
+def _transfer_report(kind: str, m: SemimoduleTable, limits: Limits, functor) -> DeciderReport:
+    """Whether a Hom functor sends every canonical short exact sequence
+    0 -> K -f-> M -g-> M/K -> 0 to a short exact sequence of commutative
+    monoids 0 -> A -> B -> C -> 0.
+
+    ``functor(k, f, mid, g, quot)`` returns the monoids A, B and C, each
+    with its maps as :func:`hom_monoid` gives them, and then the two
+    induced maps A -> B and B -> C as functions on linear maps.
+    """
+    records = []
+    for sub in _subtractive_subs(m, limits):
+        seq = canonical_short_exact(m, sub)
+        (k, mid, quot), (f, g) = seq.modules[1:4], seq.maps[1:3]
+        (h_a, maps_a), (h_b, maps_b), (h_c, maps_c), first, second = functor(k, f, mid, g, quot)
+        index_b = {q.image_of: i for i, q in enumerate(maps_b)}
+        index_c = {q.image_of: i for i, q in enumerate(maps_c)}
+        first_idx = tuple(index_b[first(q).image_of] for q in maps_a)
+        second_idx = tuple(index_c[second(q).image_of] for q in maps_b)
+        second_kernel = mask_of(i for i, v in enumerate(second_idx) if v == h_c.zero)
+        records.append(SequenceTransferRecord(
+            kernel_mask=sub.members,
+            left=len(set(first_idx)) == h_a.order,
+            middle=(mask_of(first_idx) == second_kernel
+                    and _is_k_normal(h_b.add, second_idx, second_kernel)),
+            right=len(set(second_idx)) == h_c.order))
+    holds = all(r.exact for r in records)
+    return DeciderReport(kind=kind, holds=holds, records=tuple(records))
 
 
 def is_e_projective(p: SemimoduleTable, m: SemimoduleTable,
                     limits: Limits = DEFAULT_LIMITS) -> DeciderReport:
     """Hom(p, -) sends every short exact 0->K->M->M/K->0 to a short exact
     sequence of commutative monoids."""
-    records = []
-    holds = True
-    for sub in _subtractive_subs(m, limits):
-        seq = canonical_short_exact(m, sub)
-        l, mid, n = seq.modules[1], seq.modules[2], seq.modules[3]
-        f, g = seq.maps[1], seq.maps[2]
-        h_l, maps_l = hom_monoid(p, l, limits)
-        h_m, maps_m = hom_monoid(p, mid, limits)
-        h_n, maps_n = hom_monoid(p, n, limits)
-        index_m = {q.image_of: i for i, q in enumerate(maps_m)}
-        index_n = {q.image_of: i for i, q in enumerate(maps_n)}
-        first = tuple(index_m[f.compose(q).image_of] for q in maps_l)
-        second = tuple(index_n[g.compose(q).image_of] for q in maps_m)
-        flags = _monoid_short_exact(h_l, h_m, h_n, first, second)
-        records.append(SequenceTransferRecord(
-            kernel_mask=sub.members, left=flags["left"],
-            middle=flags["middle"], right=flags["right"]))
-        if not flags["exact"]:
-            holds = False
-    return DeciderReport(kind="e-projective", holds=holds, records=tuple(records))
+    def hom_from_p(k, f, mid, g, quot):
+        return (hom_monoid(p, k, limits), hom_monoid(p, mid, limits),
+                hom_monoid(p, quot, limits), f.compose, g.compose)
+    return _transfer_report("e-projective", m, limits, hom_from_p)
 
 
 def is_e_injective(j: SemimoduleTable, m: SemimoduleTable,
                    limits: Limits = DEFAULT_LIMITS) -> DeciderReport:
     """Hom(-, j) sends every short exact 0->K->M->M/K->0 to a short exact
     sequence 0 -> Hom(M/K, j) -> Hom(M, j) -> Hom(K, j) -> 0."""
-    records = []
-    holds = True
-    for sub in _subtractive_subs(m, limits):
-        seq = canonical_short_exact(m, sub)
-        l, mid, n = seq.modules[1], seq.modules[2], seq.modules[3]
-        f, g = seq.maps[1], seq.maps[2]
-        h_n, maps_n = hom_monoid(n, j, limits)
-        h_m, maps_m = hom_monoid(mid, j, limits)
-        h_l, maps_l = hom_monoid(l, j, limits)
-        index_m = {q.image_of: i for i, q in enumerate(maps_m)}
-        index_l = {q.image_of: i for i, q in enumerate(maps_l)}
-        first = tuple(index_m[q.compose(g).image_of] for q in maps_n)
-        second = tuple(index_l[q.compose(f).image_of] for q in maps_m)
-        flags = _monoid_short_exact(h_n, h_m, h_l, first, second)
-        records.append(SequenceTransferRecord(
-            kernel_mask=sub.members, left=flags["left"],
-            middle=flags["middle"], right=flags["right"]))
-        if not flags["exact"]:
-            holds = False
-    return DeciderReport(kind="e-injective", holds=holds, records=tuple(records))
+    def hom_into_j(k, f, mid, g, quot):
+        return (hom_monoid(quot, j, limits), hom_monoid(mid, j, limits),
+                hom_monoid(k, j, limits), lambda q: q.compose(g), lambda q: q.compose(f))
+    return _transfer_report("e-injective", m, limits, hom_into_j)

@@ -9,9 +9,11 @@ from .core import (
     DEFAULT_LIMITS,
     CongruencePartition,
     Limits,
+    Parent,
     SemimoduleTable,
     SemiringTable,
     SubStructure,
+    _closure_mask,
     bits,
     bourne_congruence,
     congruence_closure,
@@ -19,13 +21,12 @@ from .core import (
     enumerate_subsemimodules,
     full_mask,
     generated_subsemimodule,
-    principal_subsemimodule,
     quotient_by_congruence,
     sub_module,
 )
 from .errors import CrosscheckFailure, HypothesisUnmet, LimitExceeded
 from .homs import enumerate_homs
-from .summands import SummandPoset, is_direct_sum, summand_poset
+from .summands import SummandPoset, _sumset, is_direct_sum, summand_poset
 
 # full enumerations and hom cross-checks are only run below this carrier size
 CROSSCHECK_MAX_ORDER = 12
@@ -43,18 +44,25 @@ def is_module_ideal_simple(m: SemimoduleTable) -> tuple[bool, SubStructure | Non
     """
     if m.order == 1:
         return False, None
-    full = full_mask(m.order)
-    for x in range(m.order):
-        if x == m.zero:
-            continue
-        gen = principal_subsemimodule(m, x)
-        if gen.members != full:
-            return False, gen
-    return True, None
+    mask = _proper_principal_mask(m)
+    return (True, None) if mask is None else (False, SubStructure(m, mask))
 
 
-def is_module_congruence_simple(m: SemimoduleTable) -> tuple[bool, CongruencePartition | None]:
-    """Only the diagonal and the universal relation as congruences."""
+def _proper_principal_mask(parent: Parent) -> int | None:
+    """The first proper subsemimodule (two-sided ideal, for a semiring)
+    generated by one nonzero element, or None when there is none."""
+    full = full_mask(parent.order)
+    for x in range(parent.order):
+        if x != parent.zero:
+            mask = _closure_mask(parent, 1 << x)
+            if mask != full:
+                return mask
+    return None
+
+
+def is_module_congruence_simple(m: Parent) -> tuple[bool, CongruencePartition | None]:
+    """Only the diagonal and the universal relation as congruences (of a
+    semimodule, or of a semiring under both multiplications)."""
     if m.order == 1:
         return False, None
     for a in range(m.order):
@@ -109,8 +117,6 @@ def simplicity_profile(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS,
         cons = enumerate_congruences(m, limits)
         if subs.exhaustive:
             by_enum = m.order > 1 and len(subs) == 2
-            if m.order == 1:
-                by_enum = False
             if by_enum != ideal:
                 raise CrosscheckFailure("ideal-simplicity routes disagree")
         if cons.exhaustive:
@@ -144,24 +150,6 @@ def simplicity_profile(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS,
 # semiring-level simplicity (two-sided ideals, semiring congruences)
 
 
-def _two_sided_principal_mask(s: SemiringTable, x: int) -> int:
-    mask = 1 << s.zero | 1 << x
-    work = [x]
-    while work:
-        a = work.pop()
-        for b in list(bits(mask)):
-            z = s.add[a][b]
-            if not mask >> z & 1:
-                mask |= 1 << z
-                work.append(z)
-        for t in range(s.order):
-            for z in (s.mul[t][a], s.mul[a][t]):
-                if not mask >> z & 1:
-                    mask |= 1 << z
-                    work.append(z)
-    return mask
-
-
 @dataclass(frozen=True)
 class SemiringSimplicityReport:
     ideal_simple: bool
@@ -173,27 +161,9 @@ class SemiringSimplicityReport:
 def semiring_simplicity_profile(s: SemiringTable) -> SemiringSimplicityReport:
     """Simplicity of the semiring itself: two-sided ideals and semiring
     congruences, both decided through principal generation."""
-    ideal = True
-    iw = None
-    full = full_mask(s.order)
-    for x in range(s.order):
-        if x == s.zero:
-            continue
-        mask = _two_sided_principal_mask(s, x)
-        if mask != full:
-            ideal, iw = False, mask
-            break
-    cong = True
-    cw = None
-    for a in range(s.order):
-        if not cong:
-            break
-        for b in range(a + 1, s.order):
-            rho = congruence_closure(s, [(a, b)])
-            if not rho.is_universal():
-                cong, cw = False, rho
-                break
-    return SemiringSimplicityReport(ideal_simple=ideal, congruence_simple=cong,
+    iw = _proper_principal_mask(s)
+    cong, cw = is_module_congruence_simple(s)
+    return SemiringSimplicityReport(ideal_simple=iw is None, congruence_simple=cong,
                                     ideal_witness_mask=iw, congruence_witness=cw)
 
 
@@ -226,21 +196,12 @@ def _search_simple_decomposition(m: SemimoduleTable, poset: SummandPoset,
             cand = simple_masks[i]
             if any(cand & c != zero_bit for c in chosen):
                 continue
-            got = rec(chosen + [cand], i + 1, _span_of(m, span, cand))
+            got = rec(chosen + [cand], i + 1, _sumset(m, span, cand))
             if got is not None:
                 return got
         return None
 
     return rec([], 0, zero_bit)
-
-
-def _span_of(m: SemimoduleTable, span: int, extra: int) -> int:
-    out = 0
-    for x in bits(span):
-        row = m.add[x]
-        for y in bits(extra):
-            out |= 1 << row[y]
-    return out | span | extra
 
 
 def semisimplicity_profile(s: SemiringTable, limits: Limits = DEFAULT_LIMITS) -> SemisimplicityReport:

@@ -20,7 +20,7 @@ from .core import (
     validate_semiring,
 )
 from .errors import CrosscheckFailure, DegenerateStructure, LimitExceeded
-from .homs import enumerate_homs
+from .homs import _pointwise_sums, enumerate_homs
 
 
 # ---------------------------------------------------------------------------
@@ -124,19 +124,12 @@ def end_semiring(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS) -> EndSemi
     maps = homs.items
     if len(maps) < 2:
         raise DegenerateStructure("End(M) has a single element; zero equals one")
-    index = {f.image_of: i for i, f in enumerate(maps)}
+    add_rows, index = _pointwise_sums(m, maps)
     n = m.order
-    add_rows = []
-    mul_rows = []
-    for f in maps:
-        add_rows.append(tuple(
-            index[tuple(m.add[f.image_of[x]][g.image_of[x]] for x in range(n))]
-            for g in maps
-        ))
-        mul_rows.append(tuple(
-            index[tuple(f.image_of[g.image_of[x]] for x in range(n))]
-            for g in maps
-        ))
+    mul_rows = [
+        tuple(index[tuple(f.image_of[g.image_of[x]] for x in range(n))] for g in maps)
+        for f in maps
+    ]
     zero = index[(m.zero,) * n]
     one = index[tuple(range(n))]
     sr = validate_semiring(add_rows, mul_rows, zero=zero, one=one)
@@ -252,16 +245,22 @@ def golan_condition3(m: SemimoduleTable, sub: SubStructure, others) -> bool:
     restrictions of the Bourne relations."""
     full = full_mask(m.order)
     for other in others:
-        span = 0
-        for x in bits(sub.members):
-            row = m.add[x]
-            for y in bits(other.members):
-                span |= 1 << row[y]
-        if span != full:
+        if _sumset(m, sub.members, other.members) != full:
             continue
         if _restrictions_trivial(m, sub.members, other.members):
             return True
     return False
+
+
+def _sumset(m: SemimoduleTable, a_mask: int, b_mask: int) -> int:
+    """{x + y : x in a_mask, y in b_mask}; the sum of two subsemimodules,
+    since both hold zero."""
+    out = 0
+    for x in bits(a_mask):
+        row = m.add[x]
+        for y in bits(b_mask):
+            out |= 1 << row[y]
+    return out
 
 
 def _longest_chain(masks: list[int]) -> int:

@@ -10,7 +10,8 @@ independent routes agree.
 
 A module is a ``Module`` of plain tables over a base semiring of
 ``len(act)`` scalars, with ``act[s][x]`` the action of scalar ``s`` on
-``x``.  Subsets are frozensets of carrier indices.
+``x``.  A semiring is anything with ``order``/``zero``/``add``/``mul``
+tables.  Subsets are frozensets of carrier indices.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def as_module(m) -> Module:
     return Module(m.order, m.zero, m.add, m.act)
 
 
-def _check_brute(m: Module) -> None:
+def _check_brute(m) -> None:
     if m.order > MAX_BRUTE_ORDER:
         raise ValueError(f"order {m.order} is too large for brute force")
 
@@ -152,6 +153,37 @@ def congruences(m: Module) -> list[list[list[int]]]:
 
 def is_congruence_simple(m: Module) -> bool:
     return m.order > 1 and len(congruences(m)) == 2
+
+
+# ---------------------------------------------------------------------------
+# semirings: two-sided ideals and semiring congruences
+
+
+def two_sided_ideals(s) -> list[list[int]]:
+    """Every two-sided ideal (zero, closed under addition and under
+    multiplication by any element on either side), from all 2^n subsets,
+    in ascending bitset order."""
+    _check_brute(s)
+    rng = range(s.order)
+    found = [i for i in _all_subsets(s.order)
+             if s.zero in i
+             and all(s.add[x][y] in i for x in i for y in i)
+             and all(s.mul[r][x] in i and s.mul[x][r] in i for r in rng for x in i)]
+    return [sorted(i) for i in sorted(found, key=_mask)]
+
+
+def is_semiring_congruence(s, classes: list[list[int]]) -> bool:
+    """Compatible with addition and with multiplication on both sides."""
+    cls = {x: k for k, c in enumerate(classes) for x in c}
+    return all(cls[op[x][z]] == cls[op[y][z]] and cls[op[z][x]] == cls[op[z][y]]
+               for op in (s.add, s.mul)
+               for c in classes for x in c for y in c for z in range(s.order))
+
+
+def semiring_congruences(s) -> list[list[list[int]]]:
+    """Every semiring congruence, from all set partitions of the carrier."""
+    _check_brute(s)
+    return [p for p in _set_partitions(list(range(s.order))) if is_semiring_congruence(s, p)]
 
 
 # ---------------------------------------------------------------------------

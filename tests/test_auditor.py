@@ -1,9 +1,11 @@
 """Semiring enumeration up to isomorphism and the audit machinery."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from finsemi import auditor
 from finsemi.auditor import (
     audit_corpus,
     audit_instance,
@@ -14,7 +16,7 @@ from finsemi.auditor import (
     lemma_suite,
 )
 from finsemi.catalog import make_B
-from finsemi.core import validate_semiring
+from finsemi.core import discrete_partition, validate_semiring
 from finsemi.errors import AxiomViolations
 
 
@@ -99,6 +101,37 @@ def test_audit_order3_green():
     assert len(rep.reports) == 8
 
 
+def test_audit_parallelism_is_clamped_to_cpus_and_tasks(monkeypatch):
+    import multiprocessing
+    import os
+
+    pools = []
+
+    class RecordingPool:
+        """Runs the tasks in this process and records the pool size asked for."""
+
+        def __init__(self, processes):
+            pools.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    audit_corpus(order_bound=3, parallelism=8)  # 8 tasks
+    audit_corpus(order_bound=2, parallelism=8)  # 2 tasks
+    audit_corpus(order_bound=3, parallelism=2)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    audit_corpus(order_bound=2, parallelism=8)  # unknown CPU count: serial
+    assert pools == [3, 2, 2]
+
+
 def test_audit_parallel_merge_is_identical():
     a = audit_corpus(order_bound=3, parallelism=1).to_jsonl()
     b = audit_corpus(order_bound=3, parallelism=2).to_jsonl()
@@ -137,6 +170,25 @@ def test_fixture_expectations_emit_known_discrepancies():
     assert by_id[("B(4,3)", "ex-exb32.ideal-list")].verdict == "discrepancy"
     assert by_id[("E(M3)", "rem-indp.5")].verdict == "discrepancy"
     assert by_id[("E(N5)", "rem-indp.5")].verdict == "discrepancy"
+
+
+def test_fixture_expectation_witnesses_follow_the_computed_values(monkeypatch):
+    # a discrete "Bourne" partition makes the quotient all of B(3,1), where
+    # 1+1=2 and 2+2=2; the faked profiles make every rem-indp.5 item hold
+    monkeypatch.setattr(auditor, "bourne_congruence", lambda m, sub: discrete_partition(m))
+    monkeypatch.setattr(auditor, "semiring_simplicity_profile",
+                        lambda s: SimpleNamespace(congruence_simple=True, ideal_simple=False))
+    monkeypatch.setattr(auditor, "condition_profile",
+                        lambda s, limits: SimpleNamespace(c2prime=True, c2=False))
+    by_id = {(r.instance, r.claim_id): r for r in fixture_expectation_records()}
+    b31 = by_id[("B(3,1)", "ex-b31.quotient-iso-ideal")]
+    assert b31.verdict == "discrepancy"
+    assert b31.witness.endswith("computed quotient has [1]+[1]=[2], [2]+[2]=[2] "
+                                "while the ideal is additively idempotent")
+    for name in ("E(M3)", "E(N5)"):
+        rec = by_id[(name, "rem-indp.5")]
+        assert rec.verdict == "holds"
+        assert rec.witness.endswith("all four hold for all-endos, top-preserving")
 
 
 def test_audit_product_all_items_hold(BxB):

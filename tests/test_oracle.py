@@ -4,7 +4,9 @@ These settle the facts the acceptance criteria 2-4 pin: the ``B(3,1)``
 Bourne quotient, the ideal lists of ``B(p+1,p)``, and the subtractive left
 ideals and C2/C2' verdicts of the endomorphism semirings ``E(M3)`` and
 ``E(N5)``.  Each fact is computed by both routes and, where a hand
-calculation gives it, compared with that value too.
+calculation gives it, compared with that value too.  They also check the
+semiring-level ideal- and congruence-simplicity verdicts, and their
+witnesses, on every small semiring.
 """
 
 from itertools import combinations
@@ -12,6 +14,7 @@ from itertools import combinations
 import pytest
 
 import oracle
+from finsemi.auditor import enumerate_semirings
 from finsemi.catalog import (
     boolean_semiring,
     chain_lattice,
@@ -31,7 +34,7 @@ from finsemi.core import (
     sub_module,
 )
 from finsemi.homs import are_isomorphic
-from finsemi.semisimple import condition_profile
+from finsemi.semisimple import condition_profile, semiring_simplicity_profile
 
 
 def _engine_lists(m, subtractive_only=False):
@@ -153,3 +156,42 @@ def test_down_set_route_matches_all_subsets(s):
     assert by_down_sets == oracle.submodules(m, subtractive=True)
     cp = condition_profile(s)
     assert oracle.idempotent_c2_c2prime(m) == (cp.c2, cp.c2prime)
+
+
+# ---------------------------------------------------------------------------
+# semiring simplicity: two-sided ideals and semiring congruences
+
+
+def _canonical(classes) -> list[list[int]]:
+    return sorted(sorted(c) for c in classes)
+
+
+def _check_semiring_simplicity(name, s) -> None:
+    rep = semiring_simplicity_profile(s)
+    ideals = oracle.two_sided_ideals(s)
+    congs = [_canonical(p) for p in oracle.semiring_congruences(s)]
+    assert rep.ideal_simple == (len(ideals) == 2), name
+    assert rep.congruence_simple == (len(congs) == 2), name
+    if rep.ideal_simple:
+        assert rep.ideal_witness_mask is None, name
+    else:
+        witness = sorted(bits(rep.ideal_witness_mask))
+        assert witness in ideals and 1 < len(witness) < s.order, name
+    if rep.congruence_simple:
+        assert rep.congruence_witness is None, name
+    else:
+        classes = _canonical(bits(c) for c in rep.congruence_witness.class_masks())
+        assert classes in congs and 1 < len(classes) < s.order, name
+
+
+def test_semiring_simplicity_on_every_semiring_up_to_order_four():
+    corpus = [s for order in (2, 3, 4) for s in enumerate_semirings(order)]
+    assert len(corpus) == 48
+    for k, s in enumerate(corpus):
+        _check_semiring_simplicity(f"sr{s.order}, index {k}", s)
+
+
+def test_semiring_simplicity_on_every_small_bni():
+    for n in range(2, 6):
+        for i in range(n):
+            _check_semiring_simplicity(f"B({n},{i})", make_B(n, i))
