@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterator, Sequence, Union
 
 from .errors import (
@@ -526,11 +527,29 @@ def _scalar_rows(parent: Parent) -> Sequence[tuple[int, ...]]:
 
 
 def _translations(parent: Parent) -> list[tuple[int, ...]]:
-    """Unary polynomial translations generating all compatibility constraints."""
-    n = parent.order
-    out = [tuple(parent.add[x][c] for x in range(n)) for c in range(n)]
+    """Unary polynomial translations generating all compatibility constraints:
+    x -> x + c for each c (row c of the commutative addition), then the
+    scalar maps."""
+    out = list(parent.add)
     out.extend(_scalar_rows(parent))
     return out
+
+
+def _cyclic_generator(parent: Parent) -> int | None:
+    """An element g whose scalar orbit is the whole carrier, or None.
+
+    A congruence relating g to zero is universal: g ~ 0 gives s.g ~ s.0 = 0
+    for every scalar s.  For a semiring, ``one`` is such an element, since
+    x = x.1 ~ x.0 = 0."""
+    if isinstance(parent, SemiringTable):
+        return parent.one
+    n = parent.order
+    if parent.base.order < n:
+        return None
+    for g in range(n):
+        if len({row[g] for row in parent.act}) == n:
+            return g
+    return None
 
 
 class _UnionFind:
@@ -556,26 +575,23 @@ class _UnionFind:
         return True
 
 
-def congruence_closure(parent: Parent, pairs, base: CongruencePartition | None = None) -> CongruencePartition:
-    """Smallest congruence relating all ``pairs`` (on top of ``base`` if given)."""
+def congruence_closure(parent: Parent, pairs) -> CongruencePartition:
+    """Smallest congruence relating all ``pairs``.
+
+    Stops with the universal partition as soon as zero is related to a
+    cyclic generator (see :func:`_cyclic_generator`)."""
     n = parent.order
     uf = _UnionFind(n)
-    queue: list[tuple[int, int]] = []
-    if base is not None:
-        for cls_mask in base.class_masks():
-            members = list(bits(cls_mask))
-            for other in members[1:]:
-                if uf.union(members[0], other):
-                    queue.append((members[0], other))
-    for a, b in pairs:
-        if uf.union(a, b):
-            queue.append((a, b))
+    queue = [(a, b) for a, b in pairs if uf.union(a, b)]
+    zero, gen = parent.zero, _cyclic_generator(parent)
     trans = _translations(parent)
     while queue:
         a, b = queue.pop()
         for t in trans:
             x, y = t[a], t[b]
             if uf.union(x, y):
+                if gen is not None and uf.find(zero) == uf.find(gen):
+                    return universal_partition(parent)
                 queue.append((x, y))
     return CongruencePartition(parent, _normalize_class_of([uf.find(x) for x in range(n)]))
 
@@ -791,33 +807,56 @@ def enumerate_subsemimodules(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS
 
 
 def enumerate_congruences(parent: Parent, limits: Limits = DEFAULT_LIMITS) -> Enumeration:
-    """All congruences of a semimodule (or semiring), canonically ordered.
+    """All congruences of a semimodule (or semiring), in ascending order of
+    their class maps.
 
-    Works by join-closing the principal congruences above the diagonal.
+    Con(A) is a sublattice of the lattice of equivalences, and every
+    congruence is a join of principal ones.  So each principal congruence
+    Cg(a, b), a < b, is closed once, and the diagonal is then join-closed
+    over the distinct ones; a join merges two class maps and applies no
+    translation.  A join with Cg(a, b) is skipped when a and b are already
+    related, because the result is then the congruence itself.
+
+    Each principal closure and each join is one step.  When ``max_steps``
+    or ``max_results`` is reached the items are the congruences found so
+    far, each a real congruence, and ``exhaustive`` is False.
     """
     n = parent.order
-    delta = discrete_partition(parent)
-    seen = {delta.class_of: delta}
-    queue = [delta]
     exhaustive = True
     steps = 0
-    while queue:
-        rho = queue.pop()
-        for a in range(n):
-            for b in range(a + 1, n):
-                if rho.class_of[a] == rho.class_of[b]:
-                    continue
-                steps += 1
-                if steps > limits.max_steps or len(seen) >= limits.max_results:
-                    exhaustive = False
-                    queue.clear()
-                    break
-                bigger = congruence_closure(parent, [(a, b)], base=rho)
-                if bigger.class_of not in seen:
-                    seen[bigger.class_of] = bigger
-                    queue.append(bigger)
-            else:
-                continue
+    principals: dict[tuple[int, ...], tuple[int, int]] = {}
+    for a, b in combinations(range(n), 2):
+        steps += 1
+        if steps > limits.max_steps:
+            exhaustive = False
             break
-    ordered = tuple(seen[key] for key in sorted(seen))
+        principals.setdefault(congruence_closure(parent, [(a, b)]).class_of, (a, b))
+    delta = tuple(range(n))
+    seen = {delta}
+    queue = [delta]
+    while queue and exhaustive:
+        rho = queue.pop()
+        for cg, (a, b) in principals.items():
+            if rho[a] == rho[b]:
+                continue
+            steps += 1
+            if steps > limits.max_steps or len(seen) >= limits.max_results:
+                exhaustive = False
+                break
+            bigger = _join(rho, cg)
+            if bigger not in seen:
+                seen.add(bigger)
+                queue.append(bigger)
+    ordered = tuple(CongruencePartition(parent, key) for key in sorted(seen))
     return Enumeration(items=ordered, exhaustive=exhaustive)
+
+
+def _join(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """The join of two equivalences given by normalized class maps: a
+    union-find pass over the classes of ``x``, merging those that meet a
+    common class of ``y``."""
+    uf = _UnionFind(max(x) + 1)
+    first: dict[int, int] = {}
+    for cx, cy in zip(x, y):
+        uf.union(first.setdefault(cy, cx), cx)
+    return _normalize_class_of([uf.find(c) for c in x])

@@ -188,21 +188,24 @@ def is_i_injective(j: SemimoduleTable, m: SemimoduleTable,
     return _lifting_report("i-injective", m, (m, j), limits, problem)
 
 
-def _transfer_report(kind: str, m: SemimoduleTable, limits: Limits, functor) -> DeciderReport:
+def _transfer_report(kind: str, m: SemimoduleTable, limits: Limits, middle, functor) -> DeciderReport:
     """Whether a Hom functor sends every canonical short exact sequence
     0 -> K -f-> M -g-> M/K -> 0 to a short exact sequence of commutative
     monoids 0 -> A -> B -> C -> 0.
 
-    ``functor(k, f, mid, g, quot)`` returns the monoids A, B and C, each
-    with its maps as :func:`hom_monoid` gives them, and then the two
-    induced maps A -> B and B -> C as functions on linear maps.
+    ``middle`` is B with its maps as :func:`hom_monoid` gives them.  It is
+    the Hom of M itself, the middle term of every sequence, so it does not
+    depend on K.  ``functor(k, f, g, quot)`` returns the monoids A and C in
+    the same form, and then the two induced maps A -> B and B -> C as
+    functions on linear maps.
     """
+    h_b, maps_b = middle
+    index_b = {q.image_of: i for i, q in enumerate(maps_b)}
     records = []
     for sub in _subtractive_subs(m, limits):
         seq = canonical_short_exact(m, sub)
-        (k, mid, quot), (f, g) = seq.modules[1:4], seq.maps[1:3]
-        (h_a, maps_a), (h_b, maps_b), (h_c, maps_c), first, second = functor(k, f, mid, g, quot)
-        index_b = {q.image_of: i for i, q in enumerate(maps_b)}
+        k, quot, (f, g) = seq.modules[1], seq.modules[3], seq.maps[1:3]
+        (h_a, maps_a), (h_c, maps_c), first, second = functor(k, f, g, quot)
         index_c = {q.image_of: i for i, q in enumerate(maps_c)}
         first_idx = tuple(index_b[first(q).image_of] for q in maps_a)
         second_idx = tuple(index_c[second(q).image_of] for q in maps_b)
@@ -221,17 +224,16 @@ def is_e_projective(p: SemimoduleTable, m: SemimoduleTable,
                     limits: Limits = DEFAULT_LIMITS) -> DeciderReport:
     """Hom(p, -) sends every short exact 0->K->M->M/K->0 to a short exact
     sequence of commutative monoids."""
-    def hom_from_p(k, f, mid, g, quot):
-        return (hom_monoid(p, k, limits), hom_monoid(p, mid, limits),
-                hom_monoid(p, quot, limits), f.compose, g.compose)
-    return _transfer_report("e-projective", m, limits, hom_from_p)
+    def hom_from_p(k, f, g, quot):
+        return hom_monoid(p, k, limits), hom_monoid(p, quot, limits), f.compose, g.compose
+    return _transfer_report("e-projective", m, limits, hom_monoid(p, m, limits), hom_from_p)
 
 
 def is_e_injective(j: SemimoduleTable, m: SemimoduleTable,
                    limits: Limits = DEFAULT_LIMITS) -> DeciderReport:
     """Hom(-, j) sends every short exact 0->K->M->M/K->0 to a short exact
     sequence 0 -> Hom(M/K, j) -> Hom(M, j) -> Hom(K, j) -> 0."""
-    def hom_into_j(k, f, mid, g, quot):
-        return (hom_monoid(quot, j, limits), hom_monoid(mid, j, limits),
-                hom_monoid(k, j, limits), lambda q: q.compose(g), lambda q: q.compose(f))
-    return _transfer_report("e-injective", m, limits, hom_into_j)
+    def hom_into_j(k, f, g, quot):
+        return (hom_monoid(quot, j, limits), hom_monoid(k, j, limits),
+                lambda q: q.compose(g), lambda q: q.compose(f))
+    return _transfer_report("e-injective", m, limits, hom_monoid(m, j, limits), hom_into_j)

@@ -106,6 +106,18 @@ def test_limits_parsing_rejects_nonpositive(b31_file):
     assert run(["--limits", "max_results=0", "analyze", b31_file]) == 2
 
 
+def test_analyze_marks_a_truncated_congruence_enumeration(tmp_path, capsys):
+    from finsemi.catalog import chain_lattice, make_end_semiring
+    from finsemi.textio import emit_semiring
+
+    # order 20, above the cross-check bound, so the truncated run completes
+    path = tmp_path / "ec4.sr"
+    path.write_text(emit_semiring(make_end_semiring(chain_lattice(4))), encoding="utf-8")
+    assert run(["--limits", "max_steps=3", "analyze", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("congruences:")][0].endswith("(truncated)")
+
+
 def test_catalog_end_from_lattice_file(tmp_path, capsys):
     from finsemi.catalog import diamond_m3
     from finsemi.textio import emit_lattice

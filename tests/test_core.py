@@ -19,6 +19,7 @@ from finsemi.core import (
     generated_subsemimodule,
     make_partition,
     mask_of,
+    partition_violations,
     product_module,
     quotient_by_congruence,
     sub_module,
@@ -292,6 +293,18 @@ def test_enumerate_congruences_b31(B31):
     brute = sorted({_normalize(c) for c in _brute_congruences(m)})
     assert got == brute
     assert len(got) == 4
+
+
+@pytest.mark.parametrize("limits", [Limits(max_steps=3), Limits(max_results=2)])
+def test_truncated_congruence_enumeration(B43, limits):
+    # a truncated enumeration says so, and still returns only congruences
+    m = B43.left_module()
+    cons = enumerate_congruences(m, limits)
+    assert not cons.exhaustive
+    assert 1 <= len(cons) <= 2
+    assert {rho.class_of for rho in cons} < {rho.class_of for rho in enumerate_congruences(m)}
+    for rho in cons:
+        assert partition_violations(m, rho.class_of) == []
 
 
 def _normalize(class_of):

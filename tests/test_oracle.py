@@ -29,7 +29,10 @@ from finsemi.core import (
     SubStructure,
     bits,
     bourne_congruence,
+    congruence_closure,
+    enumerate_congruences,
     enumerate_subsemimodules,
+    product_module,
     quotient_by_congruence,
     sub_module,
 )
@@ -195,3 +198,56 @@ def test_semiring_simplicity_on_every_small_bni():
     for n in range(2, 6):
         for i in range(n):
             _check_semiring_simplicity(f"B({n},{i})", make_B(n, i))
+
+
+# ---------------------------------------------------------------------------
+# congruence lattices: the principal table and its joins against all partitions
+
+
+def _engine_congruences(parent) -> list[list[list[int]]]:
+    cons = enumerate_congruences(parent)
+    assert cons.exhaustive
+    return [_canonical(bits(c) for c in rho.class_masks()) for rho in cons]
+
+
+def _least_containing(n: int, congs: list[list[list[int]]], a: int, b: int) -> list[list[int]]:
+    """The meet of every congruence relating a and b, as classes."""
+    related = [{(x, y) for c in p for x in c for y in c}
+               for p in congs if any(a in c and b in c for c in p)]
+    meet = set.intersection(*related)
+    return _canonical({frozenset(y for y in range(n) if (x, y) in meet) for x in range(n)})
+
+
+def _check_congruences(name, parent, oracle_congs) -> None:
+    congs = sorted(_canonical(p) for p in oracle_congs)
+    assert sorted(_engine_congruences(parent)) == congs, name
+    n = parent.order
+    for a in range(n):
+        for b in range(a + 1, n):
+            got = _canonical(bits(c) for c in congruence_closure(parent, [(a, b)]).class_masks())
+            assert got == _least_containing(n, congs, a, b), (name, a, b)
+
+
+def _small_semirings():
+    corpus = [(f"sr{s.order}, index {k}", s)
+              for k, s in enumerate(s for order in (2, 3, 4) for s in enumerate_semirings(order))]
+    assert len(corpus) == 48
+    bni = [(f"B({n},{i})", make_B(n, i)) for n in range(2, 6) for i in range(n)]
+    return corpus + bni
+
+
+def test_module_congruences_on_every_small_semiring():
+    for name, s in _small_semirings():
+        _check_congruences(name, s.left_module(), oracle.congruences(oracle.left_module(s)))
+
+
+def test_semiring_congruences_on_every_small_semiring():
+    for name, s in _small_semirings():
+        _check_congruences(name, s, oracle.semiring_congruences(s))
+
+
+def test_congruences_of_a_module_with_no_cyclic_generator():
+    mb = boolean_semiring().left_module()
+    m = product_module(mb, mb)
+    assert not any(len({row[g] for row in m.act}) == m.order for g in range(m.order))
+    _check_congruences("B+B", m, oracle.congruences(oracle.as_module(m)))

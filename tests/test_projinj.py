@@ -163,3 +163,27 @@ def test_deciders_invariant_under_relabeling(B31):
 def test_zero_module_e_injective(B31, B43):
     for s in (B31, B43):
         assert is_e_injective(zero_module(s), s.left_module()).holds
+
+
+# ---------------------------------------------------------------------------
+# cost: the middle Hom is built once per decider call
+
+
+@pytest.mark.parametrize("decider", [is_e_projective, is_e_injective])
+def test_middle_hom_monoid_built_once(B31, monkeypatch, decider):
+    from finsemi import projinj
+
+    calls = []
+    real = projinj.hom_monoid
+
+    def spy(source, target, limits=projinj.DEFAULT_LIMITS):
+        calls.append((source, target))
+        return real(source, target, limits)
+
+    monkeypatch.setattr(projinj, "hom_monoid", spy)
+    m = B31.left_module()
+    decider(m, m)
+    # one middle Hom(M, M), then the two outer ones for each of the three
+    # subtractive K (the canonical sequences share M as their middle term)
+    assert len(calls) == 7
+    assert sum(source is m and target is m for source, target in calls) == 1
