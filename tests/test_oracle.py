@@ -6,7 +6,8 @@ ideals and C2/C2' verdicts of the endomorphism semirings ``E(M3)`` and
 ``E(N5)``.  Each fact is computed by both routes and, where a hand
 calculation gives it, compared with that value too.  They also check the
 semiring-level ideal- and congruence-simplicity verdicts, and their
-witnesses, on every small semiring.
+witnesses, on every small semiring, and the congruence lattices and
+principal congruences of small modules and semirings.
 """
 
 from itertools import combinations
