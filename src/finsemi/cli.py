@@ -95,7 +95,7 @@ def cmd_analyze(args) -> int:
     for t in subs:
         tag = " subtractive" if t.is_subtractive() else ""
         print(f"  {_fmt_mask(t.members)}{tag}")
-    print(f"subtractive ideals: {len(subt)}")
+    print(f"subtractive ideals: {len(subt)}{'' if subs.exhaustive else ' (truncated)'}")
     print(f"congruences: {len(cons)}{'' if cons.exhaustive else ' (truncated)'}")
     for rho in cons:
         print(f"  classes {list(rho.class_of)}")
@@ -103,7 +103,8 @@ def cmd_analyze(args) -> int:
     print(f"ideal-simple: {simp.ideal_simple}  congruence-simple: {simp.congruence_simple}")
     print(f"ideal-semisimple: {ss.ideal_semisimple}  "
           f"congruence-semisimple: {ss.congruence_semisimple}")
-    print(f"C1: {cp.c1}  C2: {cp.c2}  C2': {cp.c2prime}")
+    print(f"C1: {cp.c1}  C2: {cp.c2}  C2': {cp.c2prime}"
+          f"{'' if cp.exhaustive else ' (truncated)'}")
     return 0
 
 

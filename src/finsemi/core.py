@@ -9,7 +9,7 @@ every enumeration in the package is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence, Union
 
@@ -136,6 +136,18 @@ class SemiringTable:
 
     def elements(self) -> range:
         return range(self.order)
+
+    @cached_property
+    def scalar_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Left and right multiplication by each element as image rows,
+        interleaved: the maps a two-sided ideal or a semiring congruence is
+        closed under.  Computed once per table; not a dataclass field, so it
+        is left out of eq, hash and repr."""
+        out = []
+        for c in range(self.order):
+            out.append(self.mul[c])
+            out.append(tuple(row[c] for row in self.mul))
+        return tuple(out)
 
     def __repr__(self) -> str:
         return f"SemiringTable(order={self.order}, zero={self.zero}, one={self.one})"
@@ -367,18 +379,29 @@ class SubStructure:
         return f"SubStructure({sorted(bits(self.members))})"
 
 
-def _closure_mask(m: Parent, seed: int) -> int:
-    """Smallest subset containing ``seed`` and zero that is closed under
-    addition and under every map of ``_scalar_rows(m)``: a subsemimodule,
-    or a two-sided ideal when ``m`` is a semiring."""
+def _closure_mask(m: Parent, seed: int, base: int = 0) -> int:
+    """Smallest subset containing ``base``, ``seed`` and zero that is closed
+    under addition and under every map of ``_scalar_rows(m)``: a
+    subsemimodule, or a two-sided ideal when ``m`` is a semiring.
+
+    ``base`` must itself be closed (a closed mask, or 0).  Its sums and
+    scalar images are then already inside it, so only the elements outside
+    it are worked: each is summed with every member once and mapped by every
+    scalar row.  The search returns as soon as the mask is the whole
+    carrier."""
     add = m.add
     rows = _scalar_rows(m)
-    mask = seed | 1 << m.zero
-    work = list(bits(mask))
+    full = full_mask(m.order)
+    mask = base | seed | 1 << m.zero
+    if mask == full:
+        return mask
+    members = list(bits(mask))
+    work = list(bits(mask & ~base))
     while work:
         x = work.pop()
+        first_new = len(work)
         row = add[x]
-        for y in bits(mask):
+        for y in members:
             z = row[y]
             if not mask >> z & 1:
                 mask |= 1 << z
@@ -388,6 +411,10 @@ def _closure_mask(m: Parent, seed: int) -> int:
             if not mask >> z & 1:
                 mask |= 1 << z
                 work.append(z)
+        if len(work) > first_new:
+            if mask == full:
+                return mask
+            members.extend(work[first_new:])
     return mask
 
 
@@ -404,14 +431,16 @@ def _subtractive_extend(m: SemimoduleTable, mask: int) -> int:
     return out
 
 
-def _subtractive_closed_closure(m: SemimoduleTable, seed: int) -> int:
-    """Smallest subtractive subsemimodule containing ``seed``."""
-    mask = _closure_mask(m, seed)
+def _subtractive_closed_closure(m: SemimoduleTable, seed: int, base: int = 0) -> int:
+    """Smallest subtractive subsemimodule containing ``base`` and ``seed``;
+    ``base`` must be closed, as for :func:`_closure_mask`.  Each round of
+    subtractive extension is closed from the mask the round started with."""
+    mask = _closure_mask(m, seed, base)
     while True:
         bigger = _subtractive_extend(m, mask)
         if bigger == mask:
             return mask
-        mask = _closure_mask(m, bigger)
+        mask = _closure_mask(m, bigger, mask)
 
 
 @lru_cache(maxsize=200_000)
@@ -515,15 +544,11 @@ def universal_partition(parent: Parent) -> CongruencePartition:
 
 def _scalar_rows(parent: Parent) -> Sequence[tuple[int, ...]]:
     """The scalar maps of ``parent`` as image rows: the action of each
-    scalar on a semimodule; left and right multiplication by each element,
-    interleaved, on a semiring."""
+    scalar on a semimodule; :attr:`SemiringTable.scalar_rows` on a
+    semiring."""
     if isinstance(parent, SemimoduleTable):
         return parent.act
-    out = []
-    for c in range(parent.order):
-        out.append(parent.mul[c])
-        out.append(tuple(row[c] for row in parent.mul))
-    return out
+    return parent.scalar_rows
 
 
 def _translations(parent: Parent) -> list[tuple[int, ...]]:
@@ -778,9 +803,18 @@ def enumerate_subsemimodules(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS
                              subtractive_only: bool = False) -> Enumeration:
     """All SubStructures of ``m`` in ascending bitset order.
 
-    With ``subtractive_only`` the search walks the lattice of subtractive
-    subsemimodules directly (closing each extension subtractively), which
-    reaches exactly the subtractive ones at far lower cost.
+    The search starts from the least closed set and extends each closed set
+    it finds by every element outside it.  An extension is closed from the
+    new element only, on top of the closed set (see :func:`_closure_mask`),
+    and ends early when it reaches the whole carrier.  With
+    ``subtractive_only`` each extension is also closed subtractively, so
+    the search walks the lattice of subtractive subsemimodules directly and
+    reaches exactly those.
+
+    Each tried extension is one step.  When ``max_steps`` or ``max_results``
+    is reached the items are the closed sets found so far, each a real
+    SubStructure (subtractive, with ``subtractive_only``), and
+    ``exhaustive`` is False.
     """
     close = _subtractive_closed_closure if subtractive_only else _closure_mask
     start = close(m, 0)
@@ -798,7 +832,7 @@ def enumerate_subsemimodules(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS
                 exhaustive = False
                 queue.clear()
                 break
-            nxt = close(m, current | 1 << x)
+            nxt = close(m, 1 << x, current)
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)

@@ -19,8 +19,9 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from typing import NamedTuple, Sequence
 
-# routes that walk every subset or partition refuse carriers above this
-MAX_BRUTE_ORDER = 8
+# routes that walk every subset or partition refuse carriers above this;
+# 9 admits the square of an order-3 module (2^9 subsets, 21147 partitions)
+MAX_BRUTE_ORDER = 9
 
 
 class Module(NamedTuple):
@@ -77,6 +78,19 @@ def submodules(m: Module, subtractive: bool = False) -> list[list[int]]:
     found = [s for s in _all_subsets(m.order)
              if is_submodule(m, s) and (not subtractive or is_subtractive(m, s))]
     return [sorted(s) for s in sorted(found, key=_mask)]
+
+
+def generated_submodule(m: Module, seed) -> frozenset:
+    """The least submodule containing ``seed``: zero and the seed, with all
+    sums of two members and all scalar images added in rounds until a round
+    adds nothing."""
+    sub = frozenset({m.zero, *seed})
+    while True:
+        bigger = (sub | {m.add[x][y] for x in sub for y in sub}
+                  | {row[x] for row in m.act for x in sub})
+        if bigger == sub:
+            return sub
+        sub = bigger
 
 
 def is_ideal_simple(m: Module) -> bool:

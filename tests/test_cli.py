@@ -115,7 +115,12 @@ def test_analyze_marks_a_truncated_congruence_enumeration(tmp_path, capsys):
     path.write_text(emit_semiring(make_end_semiring(chain_lattice(4))), encoding="utf-8")
     assert run(["--limits", "max_steps=3", "analyze", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line for line in lines if line.startswith("congruences:")][0].endswith("(truncated)")
+    for head in ("congruences:", "subtractive ideals:", "C1:"):
+        assert [line for line in lines if line.startswith(head)][0].endswith("(truncated)"), head
+    assert run(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "(truncated)" not in out
+    assert "subtractive ideals: 4\n" in out
 
 
 def test_catalog_end_from_lattice_file(tmp_path, capsys):

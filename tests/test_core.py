@@ -9,6 +9,7 @@ import pytest
 from finsemi.core import (
     Limits,
     SubStructure,
+    _scalar_rows,
     bits,
     bourne_congruence,
     congruence_closure,
@@ -30,7 +31,7 @@ from finsemi.core import (
     zero_module,
 )
 from finsemi.errors import AxiomViolations, IncompatiblePartition, ShapeError
-from finsemi.catalog import make_B
+from finsemi.catalog import chain_lattice, make_B, make_end_semiring
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +308,22 @@ def test_truncated_congruence_enumeration(B43, limits):
         assert partition_violations(m, rho.class_of) == []
 
 
+def test_semiring_scalar_rows_are_built_once():
+    # left and right multiplication by each element, interleaved, stored on
+    # the table without entering its equality, hash or repr
+    s = make_end_semiring(chain_lattice(3))
+    assert not s.commutative
+    rows = _scalar_rows(s)
+    expected = []
+    for c in range(s.order):
+        expected.append(s.mul[c])
+        expected.append(tuple(s.mul[r][c] for r in range(s.order)))
+    assert list(rows) == expected
+    assert _scalar_rows(s) is rows
+    fresh = make_end_semiring(chain_lattice(3))
+    assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+
+
 def _normalize(class_of):
     remap = {}
     out = []
@@ -403,6 +420,21 @@ def test_limit_marks_non_exhaustive(B43):
     subs = enumerate_subsemimodules(m, Limits(max_results=2))
     assert not subs.exhaustive
     assert len(subs) <= 2
+
+
+@pytest.mark.parametrize("limits", [Limits(max_steps=3), Limits(max_results=2)])
+def test_truncated_subtractive_enumeration(limits):
+    # a truncated subtractive walk says so, and returns only subtractive
+    # subsemimodules of the full answer
+    m = make_end_semiring(chain_lattice(4)).left_module()
+    full = {t.members for t in enumerate_subsemimodules(m, subtractive_only=True)}
+    assert len(full) == 4
+    subt = enumerate_subsemimodules(m, limits, subtractive_only=True)
+    assert not subt.exhaustive
+    assert 1 <= len(subt) <= 3
+    for t in subt:
+        assert SubStructure(m, t.members).is_subtractive()
+        assert t.members in full
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ ideals and C2/C2' verdicts of the endomorphism semirings ``E(M3)`` and
 ``E(N5)``.  Each fact is computed by both routes and, where a hand
 calculation gives it, compared with that value too.  They also check the
 semiring-level ideal- and congruence-simplicity verdicts, and their
-witnesses, on every small semiring, and the congruence lattices and
-principal congruences of small modules and semirings.
+witnesses, on every small semiring, the congruence lattices and
+principal congruences of small modules and semirings, and the
+subsemimodule lattices and generated subsemimodules of small modules.
 """
 
 from itertools import combinations
@@ -33,6 +34,7 @@ from finsemi.core import (
     congruence_closure,
     enumerate_congruences,
     enumerate_subsemimodules,
+    generated_subsemimodule,
     product_module,
     quotient_by_congruence,
     sub_module,
@@ -229,12 +231,16 @@ def _check_congruences(name, parent, oracle_congs) -> None:
             assert got == _least_containing(n, congs, a, b), (name, a, b)
 
 
-def _small_semirings():
+def _corpus():
     corpus = [(f"sr{s.order}, index {k}", s)
               for k, s in enumerate(s for order in (2, 3, 4) for s in enumerate_semirings(order))]
     assert len(corpus) == 48
+    return corpus
+
+
+def _small_semirings():
     bni = [(f"B({n},{i})", make_B(n, i)) for n in range(2, 6) for i in range(n)]
-    return corpus + bni
+    return _corpus() + bni
 
 
 def test_module_congruences_on_every_small_semiring():
@@ -252,3 +258,51 @@ def test_congruences_of_a_module_with_no_cyclic_generator():
     m = product_module(mb, mb)
     assert not any(len({row[g] for row in m.act}) == m.order for g in range(m.order))
     _check_congruences("B+B", m, oracle.congruences(oracle.as_module(m)))
+
+
+# ---------------------------------------------------------------------------
+# the closure kernel: subsemimodule lattices and generated subsemimodules
+
+
+def _closure_sweep():
+    """Every left module of order at most 4, and M + M for the left modules
+    M of B(3,1) and B(3,2), which have no cyclic generator, so a closure
+    there seldom reaches the whole carrier."""
+    mods = [(name, s.left_module()) for name, s in _corpus()]
+    for n, i in [(3, 1), (3, 2)]:
+        m = make_B(n, i).left_module()
+        p = product_module(m, m)
+        assert not any(len({row[g] for row in p.act}) == p.order for g in range(p.order))
+        mods.append((f"B({n},{i})+B({n},{i})", p))
+    return mods
+
+
+@pytest.mark.parametrize("subtractive", [False, True], ids=["all", "subtractive"])
+def test_subsemimodule_lattices_of_small_modules(subtractive):
+    for name, m in _closure_sweep():
+        subs = enumerate_subsemimodules(m, subtractive_only=subtractive)
+        assert subs.exhaustive, name
+        assert [sorted(bits(t.members)) for t in subs] == \
+            oracle.submodules(oracle.as_module(m), subtractive), name
+
+
+def test_generated_subsemimodules_of_small_modules():
+    # the least submodule containing a seed is the meet of those that do
+    for name, m in _closure_sweep():
+        subs = [frozenset(t) for t in oracle.submodules(oracle.as_module(m))]
+        for seed in range(1 << m.order):
+            members = frozenset(bits(seed))
+            least = frozenset.intersection(*(t for t in subs if members <= t))
+            assert set(bits(generated_subsemimodule(m, seed).members)) == least, (name, seed)
+
+
+def test_two_generator_subsemimodules_of_squares():
+    # a closure from two generators needs sums of two derived elements; from
+    # one generator x it gets them from the action, as sx + tx = (s + t)x
+    for name, s in _corpus():
+        m = s.left_module()
+        p = product_module(m, m)
+        naive = oracle.as_module(p)
+        for a, b in combinations(range(p.order), 2):
+            got = generated_subsemimodule(p, [a, b]).members
+            assert set(bits(got)) == oracle.generated_submodule(naive, [a, b]), (name, a, b)
