@@ -611,12 +611,14 @@ def _direct_inside(mod: SemimoduleTable, nmask: int, lmask: int, kmask: int) -> 
 # witness-construction check for the injective chain
 
 
-def einj_witness_construction_ok(s: SemiringTable, limits: Limits = DEFAULT_LIMITS) -> bool:
+def einj_witness_construction_ok(s: SemiringTable,
+                                 family: list[tuple[str, SemimoduleTable]],
+                                 limits: Limits = DEFAULT_LIMITS) -> bool:
     """When a subtractive ideal splits off, any extension h of g along the
-    inclusion must equal (g o projection) + s -> (s e') h(1)."""
+    inclusion must equal (g o projection) + s -> (s e') h(1), for every h
+    into a member j of ``family`` (as :func:`bounded_family` builds it)."""
     m = s.left_module()
     poset = summand_poset(m, limits)
-    family = bounded_family(s, limits)
     for sub in enumerate_subsemimodules(m, limits, subtractive_only=True):
         comask = poset.complements.get(sub.members)
         if comask is None:
@@ -683,7 +685,7 @@ def audit_instance(s: SemiringTable, limits: Limits = DEFAULT_LIMITS,
             witness="", exhaustive=True))
         records.append(ClaimRecord(
             instance=instance, claim_id="prop-sum-einj.witness-construction",
-            verdict="holds" if einj_witness_construction_ok(s, limits) else "fails",
+            verdict="holds" if einj_witness_construction_ok(s, facts.family, limits) else "fails",
             witness="", exhaustive=True))
     if s.commutative and facts.ssprofile.ideal_semisimple:
         certs = comsum_check(s, limits)

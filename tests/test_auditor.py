@@ -18,6 +18,7 @@ from finsemi.auditor import (
 from finsemi.catalog import make_B
 from finsemi.core import discrete_partition, validate_semiring
 from finsemi.errors import AxiomViolations
+from finsemi.projinj import bounded_family
 
 
 def test_order_two_stream(B, Z2):
@@ -159,8 +160,8 @@ def test_lemma_suite_order_three_clean():
 
 
 def test_einj_witness_construction(B43, BxB):
-    assert einj_witness_construction_ok(B43)
-    assert einj_witness_construction_ok(BxB)
+    assert einj_witness_construction_ok(B43, bounded_family(B43))
+    assert einj_witness_construction_ok(BxB, bounded_family(BxB))
 
 
 def test_fixture_expectations_emit_known_discrepancies():

@@ -2,11 +2,13 @@
 
 import pytest
 
+from finsemi.auditor import enumerate_semirings
 from finsemi.catalog import make_B
 from finsemi.core import (
     SubStructure,
     bourne_congruence,
     inclusion_map,
+    product_module,
     quotient_by_congruence,
     zero_module,
 )
@@ -29,7 +31,21 @@ def test_bounded_family_contents(B31):
     labels = [label for label, _ in family]
     assert labels[0] == "S"
     orders = sorted(mod.order for _, mod in family)
-    assert orders[0] == 1 and max(orders) == 9  # zero module up to S + S
+    assert orders[0] == 1 and max(orders) == 3  # zero module up to S
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_deciders_respect_biproducts(order):
+    # the reduction that lets the family leave out direct sums
+    for s in enumerate_semirings(order):
+        m = s.left_module()
+        family = [mod for _, mod in bounded_family(s)]
+        for decider in (is_k_projective, is_e_projective, is_i_injective, is_e_injective):
+            verdict = {id(a): decider(a, m).holds for a in family}
+            for i, a in enumerate(family):
+                for b in family[i:]:
+                    assert decider(product_module(a, b), m).holds == \
+                        (verdict[id(a)] and verdict[id(b)]), (decider.__name__, s)
 
 
 def test_quotient_not_k_projective(B31):
