@@ -64,12 +64,8 @@ def bounded_family(s: SemiringTable,
         raw.append((f"sub{sub.members:#x}", sub_module(sub)[0]))
     for rho in cons:
         raw.append((f"quot{''.join(map(str, rho.class_of))}", quotient_by_congruence(m, rho)[0]))
-    return _dedupe_by_iso(raw)
-
-
-def _dedupe_by_iso(mods: list[tuple[str, SemimoduleTable]]) -> list[tuple[str, SemimoduleTable]]:
     kept: list[tuple[str, SemimoduleTable]] = []
-    for label, mod in mods:
+    for label, mod in raw:
         if not any(are_isomorphic(mod, seen) for _, seen in kept):
             kept.append((label, mod))
     return kept
