@@ -1,5 +1,7 @@
 """The four homological deciders relative to a fixed module."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 
 from finsemi.auditor import enumerate_semirings
@@ -41,11 +43,10 @@ def test_deciders_respect_biproducts(order):
         m = s.left_module()
         family = [mod for _, mod in bounded_family(s)]
         for decider in (is_k_projective, is_e_projective, is_i_injective, is_e_injective):
-            verdict = {id(a): decider(a, m).holds for a in family}
-            for i, a in enumerate(family):
-                for b in family[i:]:
-                    assert decider(product_module(a, b), m).holds == \
-                        (verdict[id(a)] and verdict[id(b)]), (decider.__name__, s)
+            verdicts = [decider(a, m).holds for a in family]
+            for (i, a), (j, b) in combinations_with_replacement(enumerate(family), 2):
+                assert decider(product_module(a, b), m).holds == \
+                    (verdicts[i] and verdicts[j]), (decider.__name__, s)
 
 
 def test_quotient_not_k_projective(B31):
