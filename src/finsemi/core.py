@@ -130,7 +130,14 @@ class SemiringTable:
     cancellative: bool
 
     def left_module(self) -> SemimoduleTable:
-        """This semiring as a left semimodule over itself."""
+        """This semiring as a left semimodule over itself.  Every call on one
+        table returns the same object, so everything stored on that module
+        (its subtractive lattice, see :func:`enumerate_subsemimodules`) is
+        shared by every caller."""
+        return self._left_module
+
+    @cached_property
+    def _left_module(self) -> SemimoduleTable:
         return SemimoduleTable(base=self, order=self.order, add=self.add,
                                act=self.mul, zero=self.zero)
 
@@ -247,6 +254,12 @@ class SemimoduleTable:
 
     def elements(self) -> range:
         return range(self.order)
+
+    @cached_property
+    def _subtractive_lattices(self) -> dict[Limits, Enumeration]:
+        """The subtractive enumerations made so far, by their limits; not a
+        dataclass field, so it is left out of eq, hash and repr."""
+        return {}
 
     def __repr__(self) -> str:
         return f"SemimoduleTable(order={self.order}, base_order={self.base.order})"
@@ -815,7 +828,14 @@ def enumerate_subsemimodules(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS
     is reached the items are the closed sets found so far, each a real
     SubStructure (subtractive, with ``subtractive_only``), and
     ``exhaustive`` is False.
+
+    The subtractive lattice is computed once per table and ``limits``: the
+    first such call stores its Enumeration on ``m``, and later calls with
+    equal limits return that same object.  A call with other limits makes
+    and stores its own.
     """
+    if subtractive_only and limits in m._subtractive_lattices:
+        return m._subtractive_lattices[limits]
     close = _subtractive_closed_closure if subtractive_only else _closure_mask
     start = close(m, 0)
     seen = {start}
@@ -837,7 +857,10 @@ def enumerate_subsemimodules(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS
                 seen.add(nxt)
                 queue.append(nxt)
     subs = tuple(SubStructure(m, mask) for mask in sorted(seen))
-    return Enumeration(items=subs, exhaustive=exhaustive)
+    out = Enumeration(items=subs, exhaustive=exhaustive)
+    if subtractive_only:
+        m._subtractive_lattices[limits] = out
+    return out
 
 
 def enumerate_congruences(parent: Parent, limits: Limits = DEFAULT_LIMITS) -> Enumeration:

@@ -14,6 +14,7 @@ from .core import (
     SemiringTable,
     SubStructure,
     _closure_mask,
+    _translations,
     bits,
     bourne_congruence,
     congruence_closure,
@@ -21,6 +22,7 @@ from .core import (
     enumerate_subsemimodules,
     full_mask,
     generated_subsemimodule,
+    mask_of,
     quotient_by_congruence,
     sub_module,
 )
@@ -62,14 +64,34 @@ def _proper_principal_mask(parent: Parent) -> int | None:
 
 def is_module_congruence_simple(m: Parent) -> tuple[bool, CongruencePartition | None]:
     """Only the diagonal and the universal relation as congruences (of a
-    semimodule, or of a semiring under both multiplications)."""
-    if m.order == 1:
+    semimodule, or of a semiring under both multiplications).
+
+    Simple iff every principal congruence Cg(a, b), a < b, is universal.
+    For every translation t (see :func:`core._translations`), Cg(t(a), t(b))
+    is inside Cg(a, b), since a congruence relating a and b relates t(a) and
+    t(b).  So the pairs are walked in (a, b) order, and (a, b) is universal
+    without a closure when some t maps it to distinct t(a), t(b) already
+    known to be universal.  Only the others are closed.  A pair whose
+    congruence is not universal is never settled that way, so the first one
+    is still the first in (a, b) order, and the witness is the congruence
+    the one-closure-per-pair walk returns.
+    """
+    n = m.order
+    if n == 1:
         return False, None
-    for a in range(m.order):
-        for b in range(a + 1, m.order):
-            rho = congruence_closure(m, [(a, b)])
-            if not rho.is_universal():
-                return False, rho
+    trans = _translations(m)
+    universal = bytearray(n * n)
+    for a in range(n):
+        for b in range(a + 1, n):
+            for t in trans:
+                x, y = t[a], t[b]
+                if x != y and universal[x * n + y]:
+                    break
+            else:
+                rho = congruence_closure(m, [(a, b)])
+                if not rho.is_universal():
+                    return False, rho
+            universal[a * n + b] = universal[b * n + a] = 1
     return True, None
 
 
@@ -106,7 +128,8 @@ def simplicity_profile(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS,
     every non-zero map out of m is injective; ideal-simple iff every
     non-zero map into m is surjective, both over the quotient/sub family)
     plus full enumerations.  Disagreement is an engine bug, never a math
-    outcome.
+    outcome.  Each cross-check runs only on exhaustive enumerations: the
+    map characterizations need both.
     """
     ideal, iw = is_module_ideal_simple(m)
     cong, cw = is_module_congruence_simple(m)
@@ -123,7 +146,7 @@ def simplicity_profile(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS,
             by_enum = m.order > 1 and len(cons) == 2
             if by_enum != cong:
                 raise CrosscheckFailure("congruence-simplicity routes disagree")
-        if m.order > 1:
+        if m.order > 1 and subs.exhaustive and cons.exhaustive:
             family = module_test_family(m, limits)
             maps_out_injective = all(
                 f.is_injective()
@@ -261,9 +284,15 @@ def condition_profile_for_module(n: SemimoduleTable,
     for every subtractive M <= n and maximal subtractive L < M, the
     quotient M/L is ideal-simple (congruence-simple).  Maximality is taken
     inside the poset of subtractive subsemimodules of M.
+
+    That poset is read off the one of ``n``: for subtractive M <= n, the
+    subtractive subsemimodules of M are exactly those of ``n`` that lie
+    inside M.  If L is subtractive in n and inside M, it is subtractive in
+    M.  Conversely, let L be subtractive in M, and x + l in L with l in L:
+    then x is in M, because M is subtractive in n and L is inside M, and
+    so x is in L.  So one enumeration serves every M.
     """
     subt = subtractive_subsemimodules(n, limits)
-    exhaustive = subt.exhaustive
     poset = summand_poset(n, limits)
     c1, c1_w = True, None
     for sub in subt:
@@ -274,13 +303,13 @@ def condition_profile_for_module(n: SemimoduleTable,
     c2p, c2p_w = True, None
     for sub in subt:
         inner, to_parent = sub_module(sub)
-        inner_subt = enumerate_subsemimodules(inner, limits, subtractive_only=True)
-        exhaustive = exhaustive and inner_subt.exhaustive
-        inner_masks = [t.members for t in inner_subt]
-        for lmask in _maximal_proper(inner_masks, full_mask(inner.order)):
+        back = {p: i for i, p in enumerate(to_parent)}
+        inside = [t.members for t in subt if t.members & ~sub.members == 0]
+        for lmask in _maximal_proper(inside, sub.members):
+            local = mask_of(back[x] for x in bits(lmask))
             quot, _ = quotient_by_congruence(
-                inner, bourne_congruence(inner, SubStructure(inner, lmask)))
-            pair = (sub.members, sum(1 << to_parent[i] for i in bits(lmask)))
+                inner, bourne_congruence(inner, SubStructure(inner, local)))
+            pair = (sub.members, lmask)
             if c2 and not is_module_ideal_simple(quot)[0]:
                 c2, c2_w = False, pair
             if c2p and not is_module_congruence_simple(quot)[0]:
@@ -289,7 +318,7 @@ def condition_profile_for_module(n: SemimoduleTable,
             break
     return ConditionProfile(c1=c1, c2=c2, c2prime=c2p, c1_witness=c1_w,
                             c2_witness=c2_w, c2prime_witness=c2p_w,
-                            exhaustive=exhaustive)
+                            exhaustive=subt.exhaustive)
 
 
 def condition_profile(s: SemiringTable, limits: Limits = DEFAULT_LIMITS) -> ConditionProfile:

@@ -200,6 +200,56 @@ def semiring_congruences(s) -> list[list[list[int]]]:
     return [p for p in _set_partitions(list(range(s.order))) if is_semiring_congruence(s, p)]
 
 
+def translations(s) -> list[list[int]]:
+    """The maps x -> x + c, x -> cx and x -> xc for every c, as image lists."""
+    rng = range(s.order)
+    out = []
+    for c in rng:
+        out.append([s.add[x][c] for x in rng])
+        out.append([s.mul[c][x] for x in rng])
+        out.append([s.mul[x][c] for x in rng])
+    return out
+
+
+def semiring_congruence_of_pair(s, a: int, b: int) -> list[list[int]]:
+    """The least semiring congruence relating a and b, as classes: the pair
+    and its images under every translation, closed reflexively and
+    transitively, in rounds until a round adds nothing.  An equivalence
+    closed under the translations is compatible with both operations, as
+    x + y ~ x' + y ~ x' + y' (and alike for products)."""
+    trans = translations(s)
+    rel = {(a, b), (b, a)}
+    while True:
+        rel = _transitive_closure(s.order, rel)
+        bigger = rel | {(t[x], t[y]) for t in trans for x, y in rel}
+        if bigger == rel:
+            return _classes(s.order, rel)
+        rel = bigger
+
+
+def certifies_congruence_simple(s) -> bool:
+    """True when this route confirms that the semiring s is congruence-simple;
+    False means only that it confirms nothing.
+
+    s is congruence-simple iff Cg(a, b) is universal for every pair a < b.
+    The least congruence of the first pair is computed outright.  A later
+    pair (a, b) is universal when some translation t maps it to an earlier
+    pair with t(a) != t(b), because every congruence relating a and b
+    relates t(a) and t(b).  By induction over the pairs in order, every pair
+    is then universal.  No subset or partition is walked, so carriers above
+    MAX_BRUTE_ORDER are admitted.
+    """
+    if s.order < 2:
+        return False
+    pairs = list(combinations(range(s.order), 2))
+    if len(semiring_congruence_of_pair(s, *pairs[0])) != 1:
+        return False
+    trans = translations(s)
+    return all(any(t[a] != t[b] and (min(t[a], t[b]), max(t[a], t[b])) < (a, b)
+                   for t in trans)
+               for a, b in pairs[1:])
+
+
 # ---------------------------------------------------------------------------
 # isomorphism
 

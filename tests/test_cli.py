@@ -123,6 +123,41 @@ def test_analyze_marks_a_truncated_congruence_enumeration(tmp_path, capsys):
     assert "subtractive ideals: 4\n" in out
 
 
+B43_ANALYZE = """\
+semiring of order 4 (zero=0, one=1)
+flags: commutative=True zerosumfree=True cancellative=False
+left ideals: 4
+  {0} subtractive
+  {0,3}
+  {0,2,3}
+  {0,1,2,3} subtractive
+subtractive ideals: 2
+congruences: 4
+  classes [0, 0, 0, 0]
+  classes [0, 1, 1, 1]
+  classes [0, 1, 2, 2]
+  classes [0, 1, 2, 3]
+direct summands: ['{0}', '{0,1,2,3}']
+ideal-simple: False  congruence-simple: False
+ideal-semisimple: False  congruence-semisimple: False
+C1: True  C2: False  C2': False
+"""
+
+
+def test_analyze_skips_the_map_crosscheck_on_truncated_enumerations(tmp_path, capsys):
+    # B(4,3) is below the cross-check bound: the map cross-check needs both
+    # enumerations, so a truncated run reports them instead of failing
+    assert run(["catalog", "bni", "--n", "4", "--i", "3"]) == 0
+    path = tmp_path / "b43.sr"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert run(["--limits", "max_steps=3", "analyze", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for head in ("left ideals:", "subtractive ideals:", "congruences:"):
+        assert [line for line in lines if line.startswith(head)][0].endswith("(truncated)"), head
+    assert run(["analyze", str(path)]) == 0
+    assert capsys.readouterr().out == B43_ANALYZE
+
+
 def test_catalog_end_from_lattice_file(tmp_path, capsys):
     from finsemi.catalog import diamond_m3
     from finsemi.textio import emit_lattice

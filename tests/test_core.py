@@ -422,6 +422,57 @@ def test_limit_marks_non_exhaustive(B43):
     assert len(subs) <= 2
 
 
+def _counting_subtractive_closures(monkeypatch):
+    from finsemi import core
+
+    calls = []
+    original = core._subtractive_closed_closure
+
+    def counting(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(core, "_subtractive_closed_closure", counting)
+    return calls
+
+
+def test_subtractive_lattice_is_stored_per_table_and_limits(monkeypatch):
+    calls = _counting_subtractive_closures(monkeypatch)
+    s = make_end_semiring(chain_lattice(4))
+    m = s.left_module()
+    assert s.left_module() is m
+    first = enumerate_subsemimodules(m, subtractive_only=True)
+    assert first.exhaustive and len(first) == 4 and calls
+    calls.clear()
+    assert enumerate_subsemimodules(s.left_module(), subtractive_only=True) is first
+    assert not calls
+    # other limits are not served from the stored lattice
+    cut = enumerate_subsemimodules(m, Limits(max_steps=3), subtractive_only=True)
+    assert calls and not cut.exhaustive and len(cut) < len(first)
+    assert enumerate_subsemimodules(m, subtractive_only=True) is first
+    # an equal table built apart has its own store; eq, hash, repr unchanged
+    fresh = make_end_semiring(chain_lattice(4))
+    assert fresh.left_module() == m and hash(fresh.left_module()) == hash(m)
+    assert repr(fresh.left_module()) == repr(m) and repr(fresh) == repr(s)
+    calls.clear()
+    again = enumerate_subsemimodules(fresh.left_module(), subtractive_only=True)
+    assert calls and again is not first
+    assert [t.members for t in again] == [t.members for t in first]
+
+
+def test_table_with_a_stored_lattice_survives_pickling():
+    import pickle
+
+    s = make_end_semiring(chain_lattice(4))
+    first = enumerate_subsemimodules(s.left_module(), subtractive_only=True)
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s and hash(back) == hash(s) and back.left_module() == s.left_module()
+    assert back.left_module().base is back
+    stored = enumerate_subsemimodules(back.left_module(), subtractive_only=True)
+    assert [t.members for t in stored] == [t.members for t in first]
+    assert all(t.parent is back.left_module() for t in stored)
+
+
 @pytest.mark.parametrize("limits", [Limits(max_steps=3), Limits(max_results=2)])
 def test_truncated_subtractive_enumeration(limits):
     # a truncated subtractive walk says so, and returns only subtractive

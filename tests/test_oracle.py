@@ -11,7 +11,7 @@ principal congruences of small modules and semirings, and the
 subsemimodule lattices and generated subsemimodules of small modules.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -38,6 +38,7 @@ from finsemi.core import (
     product_module,
     quotient_by_congruence,
     sub_module,
+    validate_semiring,
 )
 from finsemi.homs import are_isomorphic
 from finsemi.semisimple import condition_profile, semiring_simplicity_profile
@@ -201,6 +202,48 @@ def test_semiring_simplicity_on_every_small_bni():
     for n in range(2, 6):
         for i in range(n):
             _check_semiring_simplicity(f"B({n},{i})", make_B(n, i))
+
+
+def _relabelled(s, pi):
+    """The semiring isomorphic to s under x -> pi[x]."""
+    inv = [0] * s.order
+    for old, new in enumerate(pi):
+        inv[new] = old
+    rng = range(s.order)
+    return validate_semiring([[pi[s.add[inv[a]][inv[b]]] for b in rng] for a in rng],
+                             [[pi[s.mul[inv[a]][inv[b]]] for b in rng] for a in rng],
+                             zero=pi[s.zero], one=pi[s.one])
+
+
+def test_translation_certificate_is_sound_on_small_semirings():
+    # wherever the certificate holds, all set partitions agree; and it
+    # holds somewhere, so it is not vacuous.  Every labelling of the
+    # semirings of order at most 4 is tried, since the certificate depends
+    # on which pair comes first
+    certified = 0
+    for name, s in _small_semirings():
+        labellings = permutations(range(s.order)) if s.order <= 4 else [range(s.order)]
+        for pi in labellings:
+            r = _relabelled(s, list(pi))
+            if oracle.certifies_congruence_simple(r):
+                certified += 1
+                assert len(oracle.semiring_congruences(r)) == 2, (name, pi)
+                assert semiring_simplicity_profile(r).congruence_simple, (name, pi)
+    assert certified
+
+
+@pytest.mark.parametrize("make_lattice", [diamond_m3, pentagon_n5], ids=["E(M3)", "E(N5)"])
+def test_endomorphism_congruence_simplicity_above_the_brute_force_cap(make_lattice):
+    # orders 50 and 43: no partition walk, but the certificate confirms the
+    # engine's verdict, and confirms nothing on the top-preserving variant,
+    # which the engine reports as not congruence-simple
+    s = make_end_semiring(make_lattice())
+    assert s.order > oracle.MAX_BRUTE_ORDER
+    assert semiring_simplicity_profile(s).congruence_simple
+    assert oracle.certifies_congruence_simple(s)
+    top = make_end_semiring(make_lattice(), top_preserving=True)
+    assert not semiring_simplicity_profile(top).congruence_simple
+    assert not oracle.certifies_congruence_simple(top)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,25 @@
 
 import pytest
 
-from finsemi.catalog import diamond_m3, make_B, make_end_semiring, make_product, pentagon_n5
-from finsemi.core import SubStructure, bits, enumerate_subsemimodules, full_mask, sub_module
+from finsemi import semisimple
+from finsemi.auditor import enumerate_semirings
+from finsemi.catalog import (
+    boolean_semiring,
+    chain_lattice,
+    diamond_m3,
+    make_B,
+    make_end_semiring,
+    make_product,
+    pentagon_n5,
+)
+from finsemi.core import (
+    SubStructure,
+    bits,
+    congruence_closure,
+    enumerate_subsemimodules,
+    full_mask,
+    sub_module,
+)
 from finsemi.errors import HypothesisUnmet
 from finsemi.semisimple import (
     comsum_check,
@@ -69,6 +86,90 @@ def test_commutative_semiring_simplicity_matches_module_level(B31, B43):
         mod = simplicity_profile(s.left_module())
         assert sr.ideal_simple == mod.ideal_simple
         assert sr.congruence_simple == mod.congruence_simple
+
+
+# ---------------------------------------------------------------------------
+# congruence-simplicity through translations of known universal pairs
+
+
+def _congruence_simple_by_every_pair(m):
+    """Reference route: close every pair (a, b), a < b, in order, and stop
+    at the first congruence that is not universal."""
+    if m.order == 1:
+        return False, None
+    for a in range(m.order):
+        for b in range(a + 1, m.order):
+            rho = congruence_closure(m, [(a, b)])
+            if not rho.is_universal():
+                return False, rho
+    return True, None
+
+
+def _simplicity_sweep():
+    """Every semiring of order at most 4, every B(n, i) with n <= 5, and
+    both variants of E(M3), E(N5) and E(C4), each with its left module."""
+    semirings = [(f"sr{s.order}, index {k}", s)
+                 for k, s in enumerate(s for order in (2, 3, 4)
+                                       for s in enumerate_semirings(order))]
+    semirings += [(f"B({n},{i})", make_B(n, i)) for n in range(2, 6) for i in range(n)]
+    for lname, lat in (("M3", diamond_m3()), ("N5", pentagon_n5()), ("C4", chain_lattice(4))):
+        for top in (False, True):
+            semirings.append((f"E({lname}){' top' if top else ''}",
+                              make_end_semiring(lat, top_preserving=top)))
+    for name, s in semirings:
+        yield name, s
+        yield f"{name} left module", s.left_module()
+
+
+def test_congruence_simplicity_matches_closing_every_pair():
+    simple = set()
+    for name, parent in _simplicity_sweep():
+        got, witness = is_module_congruence_simple(parent)
+        want, want_witness = _congruence_simple_by_every_pair(parent)
+        assert got == want, name
+        if want:
+            assert witness is None, name
+            simple.add(name)
+        else:
+            assert witness.class_of == want_witness.class_of, name
+    # the sweep holds simple and non-simple cases of order above 20
+    assert {"E(M3)", "E(N5)", "E(C4)"} <= simple
+    assert not {"E(M3) top", "E(N5) top", "E(C4) top"} & simple
+
+
+def test_end_m3_congruence_simplicity_takes_one_closure(monkeypatch):
+    calls = []
+
+    def counting(parent, pairs):
+        calls.append(pairs)
+        return congruence_closure(parent, pairs)
+
+    monkeypatch.setattr(semisimple, "congruence_closure", counting)
+    assert is_module_congruence_simple(make_end_semiring(diamond_m3())) == (True, None)
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the subtractive lattice of a subtractive N <= M is that of M inside N
+
+
+def test_inner_subtractive_lattices_are_read_off_the_outer_one():
+    b = boolean_semiring()
+    fixtures = [make_B(3, 1), make_B(3, 2), make_B(4, 3), make_B(6, 5),
+                make_product([b, b]), make_product([b, b, b]),
+                make_end_semiring(diamond_m3()), make_end_semiring(pentagon_n5())]
+    semirings = [s for order in (2, 3, 4) for s in enumerate_semirings(order)] + fixtures
+    checked = 0
+    for s in semirings:
+        m = s.left_module()
+        outer = [t.members for t in enumerate_subsemimodules(m, subtractive_only=True)]
+        for big in outer:
+            inner, to_parent = sub_module(SubStructure(m, big))
+            got = [sum(1 << to_parent[i] for i in bits(t.members))
+                   for t in enumerate_subsemimodules(inner, subtractive_only=True)]
+            assert got == [t for t in outer if t & ~big == 0], (s, sorted(bits(big)))
+            checked += 1
+    assert checked > 2 * len(semirings)
 
 
 # ---------------------------------------------------------------------------
