@@ -288,9 +288,10 @@ def condition_profile_for_module(n: SemimoduleTable,
     That poset is read off the one of ``n``: for subtractive M <= n, the
     subtractive subsemimodules of M are exactly those of ``n`` that lie
     inside M.  If L is subtractive in n and inside M, it is subtractive in
-    M.  Conversely, let L be subtractive in M, and x + l in L with l in L:
-    then x is in M, because M is subtractive in n and L is inside M, and
-    so x is in L.  So one enumeration serves every M.
+    M.  Conversely, let L be subtractive in M, and x in n with x + l in L
+    for some l in L: then x + l and l lie in M, so x is in M because M is
+    subtractive in n, and then x is in L.  So one enumeration serves every
+    M.
     """
     subt = subtractive_subsemimodules(n, limits)
     poset = summand_poset(n, limits)

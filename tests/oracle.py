@@ -3,6 +3,9 @@
 Every route here works from the definitions: substructures from all 2^n
 subsets, congruences from all set partitions, the Bourne relation from its
 defining equation closed transitively, isomorphism from all bijections.
+The one route that walks neither, a certificate of semiring
+congruence-simplicity, closes one pair by a naive fixpoint and argues the
+rest from translations, so it also admits larger carriers.
 Nothing is pruned, cached or shared with ``finsemi``: the routes read only
 plain operation tables, those ``finsemi.catalog`` builds or an engine result
 under comparison.  So where the engine and this module agree, two

@@ -422,22 +422,17 @@ def test_limit_marks_non_exhaustive(B43):
     assert len(subs) <= 2
 
 
-def _counting_subtractive_closures(monkeypatch):
+def test_subtractive_lattice_is_stored_per_table_and_limits(monkeypatch):
     from finsemi import core
 
     calls = []
     original = core._subtractive_closed_closure
 
     def counting(*args):
-        calls.append(args[1:])
+        calls.append(args)
         return original(*args)
 
     monkeypatch.setattr(core, "_subtractive_closed_closure", counting)
-    return calls
-
-
-def test_subtractive_lattice_is_stored_per_table_and_limits(monkeypatch):
-    calls = _counting_subtractive_closures(monkeypatch)
     s = make_end_semiring(chain_lattice(4))
     m = s.left_module()
     assert s.left_module() is m

@@ -7,8 +7,10 @@ ideals and C2/C2' verdicts of the endomorphism semirings ``E(M3)`` and
 calculation gives it, compared with that value too.  They also check the
 semiring-level ideal- and congruence-simplicity verdicts, and their
 witnesses, on every small semiring, the congruence lattices and
-principal congruences of small modules and semirings, and the
-subsemimodule lattices and generated subsemimodules of small modules.
+principal congruences of small modules and semirings, the
+subsemimodule lattices and generated subsemimodules of small modules, and
+the congruence-simplicity of ``E(M3)`` and ``E(N5)`` above the
+brute-force cap, through the oracle's translation certificate.
 """
 
 from itertools import combinations, permutations
