@@ -22,11 +22,11 @@ from .core import (
     SemiringTable,
     SubStructure,
     Table,
+    _quotient,
     bits,
     bourne_congruence,
     enumerate_congruences,
     enumerate_subsemimodules,
-    quotient_by_congruence,
     sub_module,
     validate_semiring,
 )
@@ -283,7 +283,7 @@ class InstanceFacts:
                              for _, j in self.family)
         self.quotients_k_proj = all(
             is_k_projective(
-                quotient_by_congruence(self.m, bourne_congruence(self.m, sub))[0],
+                _quotient(self.m, bourne_congruence(self.m, sub))[0],
                 self.m, limits).holds
             for sub in self.subtractive)
         self.subtractive_i_inj = all(
@@ -545,7 +545,7 @@ def lemma_suite(s: SemiringTable, limits: Limits = DEFAULT_LIMITS,
                 witness = f"{_fmt_mask(sub.members)}: {via_comp}/{via_pairs}/{via_cond3}"
         # d-iso (2): M = K + L direct implies M/K iso L
         for a, b in pair_sums:
-            quot, _ = quotient_by_congruence(mod, bourne_congruence(
+            quot, _ = _quotient(mod, bourne_congruence(
                 mod, SubStructure(mod, a.subtractive_closure_members)))
             if not are_isomorphic(quot, sub_module(b)[0]):
                 diso_ok = False
@@ -572,7 +572,7 @@ def lemma_suite(s: SemiringTable, limits: Limits = DEFAULT_LIMITS,
                     decomposition_from_parts(mod, parts)):
                 rem1_ok = False
         # short-exact characterizations over generated (f, g) grids
-        quots = [quotient_by_congruence(mod, rho)[0]
+        quots = [_quotient(mod, rho)[0]
                  for rho in enumerate_congruences(mod, limits)]
         l_mods = [sub_module(sub)[0] for sub in subs]
         for lmod in l_mods:
@@ -749,7 +749,7 @@ def fixture_expectation_records(limits: Limits = DEFAULT_LIMITS) -> list[ClaimRe
     m31 = b31.left_module()
     i_sub = SubStructure(m31, 0b101)
     rho = bourne_congruence(m31, i_sub)
-    quot, _ = quotient_by_congruence(m31, rho)
+    quot, _ = _quotient(m31, rho)
     imod = sub_module(i_sub)[0]
     # quotient element c is class c of rho, written [its least member]
     cls = [f"[{next(bits(mask))}]" for mask in rho.class_masks()]

@@ -4,6 +4,14 @@ Elements are indices 0..order-1; the distinguished zero/one are explicit
 indices and need not sit at positions 0/1.  Subsets of a carrier are plain
 Python ints with bitset semantics, iterated in ascending index order so
 every enumeration in the package is reproducible.
+
+Each value is checked once.  Input from outside the engine is checked where
+it enters: by :func:`validate_semiring`, :func:`validate_semimodule`,
+:func:`make_partition`, ``LinearMap(...)`` and :func:`quotient_by_congruence`.
+A value the engine derives from checked values (a composite of linear maps,
+a quotient by a congruence the engine built, the table of End(M)) is correct
+by construction and is built unchecked, through :func:`_linear_map`,
+:func:`_quotient` and :func:`_semiring_table`.
 """
 
 from __future__ import annotations
@@ -209,9 +217,21 @@ def validate_semiring(add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]]
     violations = semiring_violations(add_t, mul_t, zero, one)
     if violations:
         raise AxiomViolations(violations)
-    commutative = all(mul_t[a][b] == mul_t[b][a] for a in range(n) for b in range(a + 1, n))
-    v_mask, k_mask = _v_and_k_masks(add_t, zero, n)
-    return SemiringTable(order=n, add=add_t, mul=mul_t, zero=zero, one=one,
+    return _semiring_table(add_t, mul_t, zero, one)
+
+
+def _semiring_table(add: Table, mul: Table, zero: int, one: int) -> SemiringTable:
+    """A SemiringTable with its computed flags, built without checks.
+
+    Precondition: ``add`` and ``mul`` are square tuple tables over one
+    carrier, ``zero`` and ``one`` index into it, and
+    :func:`semiring_violations` finds nothing.  ``tests/test_core.py::
+    test_engine_built_values_pass_the_public_checks`` checks every table
+    the engine builds this way."""
+    n = len(add)
+    commutative = all(mul[a][b] == mul[b][a] for a in range(n) for b in range(a + 1, n))
+    v_mask, k_mask = _v_and_k_masks(add, zero, n)
+    return SemiringTable(order=n, add=add, mul=mul, zero=zero, one=one,
                          commutative=commutative,
                          zerosumfree=v_mask == 1 << zero,
                          cancellative=k_mask == full_mask(n))
@@ -704,12 +724,26 @@ def _is_k_normal(add: Table, image_of: Sequence[int], kernel_mask: int) -> bool:
 
 
 def quotient_by_congruence(m: SemimoduleTable, rho: CongruencePartition):
-    """Quotient module plus the canonical (surjective, k-normal) projection."""
+    """Quotient module plus the canonical (surjective, k-normal) projection.
+
+    Raises :class:`IncompatiblePartition` unless ``rho`` is a congruence of
+    ``m``."""
     if rho.parent != m:
         raise IncompatiblePartition("partition belongs to a different parent")
     bad = partition_violations(m, rho.class_of)
     if bad:
         raise IncompatiblePartition(str(bad[0]))
+    return _quotient(m, rho)
+
+
+def _quotient(m: SemimoduleTable, rho: CongruencePartition):
+    """:func:`quotient_by_congruence` without its checks.
+
+    Precondition: ``rho`` is a congruence of ``m``, as every partition that
+    :func:`bourne_congruence`, :func:`congruence_closure` and
+    :func:`enumerate_congruences` return is.  ``tests/test_core.py::
+    test_engine_built_values_pass_the_public_checks`` checks every
+    partition the engine passes here."""
     class_of = rho.class_of
     k = rho.n_classes()
     rep = [0] * k
@@ -720,8 +754,7 @@ def quotient_by_congruence(m: SemimoduleTable, rho: CongruencePartition):
                 for s in range(m.base.order))
     quot = SemimoduleTable(base=m.base, order=k, add=add, act=act,
                            zero=class_of[m.zero])
-    proj = LinearMap(source=m, target=quot, image_of=class_of)
-    return quot, proj
+    return quot, _linear_map(m, quot, class_of)
 
 
 # ---------------------------------------------------------------------------
@@ -765,11 +798,28 @@ class LinearMap:
         """self after inner."""
         if inner.target != self.source:
             raise NotComposable("endpoints do not match")
-        return LinearMap(inner.source, self.target,
-                         tuple(self.image_of[y] for y in inner.image_of))
+        return _linear_map(inner.source, self.target,
+                           tuple(self.image_of[y] for y in inner.image_of))
 
     def __repr__(self) -> str:
         return f"LinearMap({list(self.image_of)})"
+
+
+def _linear_map(source: SemimoduleTable, target: SemimoduleTable,
+                image_of: tuple[int, ...]) -> LinearMap:
+    """A LinearMap built without ``__post_init__``'s check.
+
+    Precondition: ``image_of`` is a tuple and
+    :func:`linear_map_violations` finds nothing for it, as for a composite
+    of linear maps, a quotient projection, or an image array the caller
+    has just checked.  ``tests/test_core.py::
+    test_engine_built_values_pass_the_public_checks`` checks every map the
+    engine builds this way."""
+    f = object.__new__(LinearMap)
+    object.__setattr__(f, "source", source)
+    object.__setattr__(f, "target", target)
+    object.__setattr__(f, "image_of", image_of)
+    return f
 
 
 def linear_map_violations(source: SemimoduleTable, target: SemimoduleTable,

@@ -18,11 +18,12 @@ from .core import (
     Table,
     _closure_mask,
     _is_k_normal,
+    _linear_map,
+    _quotient,
     bourne_congruence,
     identity_map,
     inclusion_map,
     linear_map_violations,
-    quotient_by_congruence,
     zero_map,
     zero_module,
 )
@@ -226,7 +227,7 @@ def _enumerate_homs_cached(source: SemimoduleTable, target: SemimoduleTable,
         if depth == len(gens):
             result = tuple(img)
             if not linear_map_violations(source, target, result):
-                found.append(LinearMap(source, target, result))
+                found.append(_linear_map(source, target, result))
             return
         g = gens[depth]
         for v in candidates[depth]:
@@ -312,9 +313,10 @@ def find_isomorphism(m: SemimoduleTable, n: SemimoduleTable) -> LinearMap | None
             img = _replay(m, n, partial)
             if len(set(img)) != n.order:
                 return None
+            img = tuple(img)
             if linear_map_violations(m, n, img):
                 return None
-            return LinearMap(m, n, tuple(img))
+            return _linear_map(m, n, img)
         for v in candidates[i]:
             got = rec(i + 1, partial + (v,))
             if got is not None:
@@ -416,7 +418,7 @@ def short_exact_equivalences(seq: SequenceSpec) -> dict[str, bool]:
         # f corestricted to its image is then automatically an isomorphism
         img_sub = SubStructure(m, f.image_mask())
         if img_sub.is_subtractive():
-            quot, proj = quotient_by_congruence(m, bourne_congruence(m, img_sub))
+            quot, proj = _quotient(m, bourne_congruence(m, img_sub))
             induced = [-1] * quot.order
             ok = True
             for x in range(m.order):
@@ -426,8 +428,9 @@ def short_exact_equivalences(seq: SequenceSpec) -> dict[str, bool]:
                     ok = False
                     break
                 induced[c] = v
+            induced = tuple(induced)
             if ok and not linear_map_violations(quot, n, induced):
-                witness = LinearMap(quot, n, tuple(induced))
+                witness = _linear_map(quot, n, induced)
                 iso = witness.is_injective() and witness.is_surjective()
     return {"exact": exact, "iso": iso, "explicit": explicit}
 
@@ -437,7 +440,7 @@ def canonical_short_exact(m: SemimoduleTable, sub: SubStructure) -> SequenceSpec
     if not sub.is_subtractive():
         raise NotComposable("canonical short exact sequences need a subtractive kernel")
     _, incl = inclusion_map(sub)
-    quot, proj = quotient_by_congruence(m, bourne_congruence(m, sub))
+    quot, proj = _quotient(m, bourne_congruence(m, sub))
     return zero_flanked(incl.source, incl, m, proj, quot)
 
 

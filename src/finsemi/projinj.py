@@ -29,12 +29,12 @@ from .core import (
     SubStructure,
     Table,
     _is_k_normal,
+    _quotient,
     bourne_congruence,
     enumerate_congruences,
     enumerate_subsemimodules,
     inclusion_map,
     mask_of,
-    quotient_by_congruence,
     sub_module,
 )
 from .errors import LimitExceeded
@@ -63,7 +63,7 @@ def bounded_family(s: SemiringTable,
     for sub in subs:
         raw.append((f"sub{sub.members:#x}", sub_module(sub)[0]))
     for rho in cons:
-        raw.append((f"quot{''.join(map(str, rho.class_of))}", quotient_by_congruence(m, rho)[0]))
+        raw.append((f"quot{''.join(map(str, rho.class_of))}", _quotient(m, rho)[0]))
     kept: list[tuple[str, SemimoduleTable]] = []
     for label, mod in raw:
         if not any(are_isomorphic(mod, seen) for _, seen in kept):
@@ -173,7 +173,7 @@ def is_k_projective(p: SemimoduleTable, m: SemimoduleTable,
                     limits: Limits = DEFAULT_LIMITS) -> DeciderReport:
     """Every map p -> M/K lifts through the canonical projection."""
     def problem(sub):
-        quot, proj = quotient_by_congruence(m, bourne_congruence(m, sub))
+        quot, proj = _quotient(m, bourne_congruence(m, sub))
         return proj.compose, enumerate_homs(p, quot, limits)
     return _lifting_report("k-projective", m, (p, m), limits, problem)
 

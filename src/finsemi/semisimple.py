@@ -14,6 +14,7 @@ from .core import (
     SemiringTable,
     SubStructure,
     _closure_mask,
+    _quotient,
     _translations,
     bits,
     bourne_congruence,
@@ -23,7 +24,6 @@ from .core import (
     full_mask,
     generated_subsemimodule,
     mask_of,
-    quotient_by_congruence,
     sub_module,
 )
 from .errors import CrosscheckFailure, HypothesisUnmet, LimitExceeded
@@ -116,7 +116,7 @@ def module_test_family(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS) -> l
     if not cons.exhaustive:
         raise LimitExceeded("congruence enumeration truncated")
     for rho in cons:
-        family.append(quotient_by_congruence(m, rho)[0])
+        family.append(_quotient(m, rho)[0])
     return family
 
 
@@ -308,7 +308,7 @@ def condition_profile_for_module(n: SemimoduleTable,
         inside = [t.members for t in subt if t.members & ~sub.members == 0]
         for lmask in _maximal_proper(inside, sub.members):
             local = mask_of(back[x] for x in bits(lmask))
-            quot, _ = quotient_by_congruence(
+            quot, _ = _quotient(
                 inner, bourne_congruence(inner, SubStructure(inner, local)))
             pair = (sub.members, lmask)
             if c2 and not is_module_ideal_simple(quot)[0]:

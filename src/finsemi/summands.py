@@ -13,11 +13,11 @@ from .core import (
     SemimoduleTable,
     SemiringTable,
     SubStructure,
+    _semiring_table,
     bits,
     bourne_congruence,
     full_mask,
     sub_module,
-    validate_semiring,
 )
 from .errors import CrosscheckFailure, DegenerateStructure, LimitExceeded
 from .homs import _pointwise_sums, enumerate_homs
@@ -118,6 +118,22 @@ class EndSemiring:
 
 @lru_cache(maxsize=16384)
 def end_semiring(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS) -> EndSemiring:
+    """End(M): every linear M -> M, under pointwise addition and composition.
+
+    The table is built unchecked.  End(M) is a semiring by construction:
+    pointwise sums and composites of linear maps are linear maps, pointwise
+    addition is commutative and associative with the zero map as its
+    identity, composition is associative with the identity map as its unit,
+    and composition distributes over pointwise sums: f(g + h) = fg + fh
+    because f is additive, and (g + h)f = gf + hf pointwise.  The zero map
+    absorbs: f after 0 is 0 because f is linear, and 0 after f is 0
+    outright.  ``tests/test_core.py::
+    test_engine_built_values_pass_the_public_checks`` checks these tables
+    against :func:`semiring_violations`.
+
+    Raises :class:`LimitExceeded` on a truncated hom search and
+    :class:`DegenerateStructure` when M is zero.
+    """
     homs = enumerate_homs(m, m, limits)
     if not homs.exhaustive:
         raise LimitExceeded("End(M) enumeration hit the node limit")
@@ -126,13 +142,13 @@ def end_semiring(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS) -> EndSemi
         raise DegenerateStructure("End(M) has a single element; zero equals one")
     add_rows, index = _pointwise_sums(m, maps)
     n = m.order
-    mul_rows = [
+    mul_rows = tuple(
         tuple(index[tuple(f.image_of[g.image_of[x]] for x in range(n))] for g in maps)
         for f in maps
-    ]
+    )
     zero = index[(m.zero,) * n]
     one = index[tuple(range(n))]
-    sr = validate_semiring(add_rows, mul_rows, zero=zero, one=one)
+    sr = _semiring_table(add_rows, mul_rows, zero, one)
     return EndSemiring(semiring=sr, maps=maps)
 
 

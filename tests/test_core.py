@@ -7,6 +7,7 @@ inline brute-force oracles next to the assertion that freezes them.
 import pytest
 
 from finsemi.core import (
+    CongruencePartition,
     Limits,
     SubStructure,
     _scalar_rows,
@@ -18,11 +19,13 @@ from finsemi.core import (
     enumerate_subsemimodules,
     full_mask,
     generated_subsemimodule,
+    linear_map_violations,
     make_partition,
     mask_of,
     partition_violations,
     product_module,
     quotient_by_congruence,
+    semiring_violations,
     sub_module,
     subtractive_closure,
     universal_partition,
@@ -223,6 +226,13 @@ def test_incompatible_partition_rejected(B31):
     m = B31.left_module()
     with pytest.raises(IncompatiblePartition):
         make_partition(m, (0, 0, 1))  # 0 ~ 1 forces everything together
+
+
+def test_quotient_rejects_a_directly_built_incompatible_partition(B31):
+    # CongruencePartition(...) itself checks nothing; the public quotient must
+    m = B31.left_module()
+    with pytest.raises(IncompatiblePartition):
+        quotient_by_congruence(m, CongruencePartition(m, (0, 0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -521,3 +531,60 @@ def test_substructure_must_be_closed(B31):
         SubStructure(m, 0b011)  # 1 + 1 = 2 escapes {0, 1}
     with pytest.raises(IncompatiblePartition):
         SubStructure(m, 0b100)  # missing zero
+
+
+# ---------------------------------------------------------------------------
+# values the engine builds unchecked
+
+
+def _checked(fn, name, check, record):
+    """``fn`` wrapped so that each call first records what ``check`` finds."""
+    def wrapper(*args):
+        record[name].append(check(*args))
+        return fn(*args)
+    return wrapper
+
+
+def test_engine_built_values_pass_the_public_checks(monkeypatch):
+    """Every map, quotient and semiring table the engine builds without its
+    check passes that check, over the catalog fixtures and the order <= 3
+    corpus.  Each private builder is rebound in every finsemi module that
+    holds it, so calls from inside ``core`` are seen too."""
+    import sys
+    import finsemi.auditor as auditor
+    import finsemi.core as core
+
+    checks = {
+        "_linear_map": lambda source, target, image_of: (
+            [] if isinstance(image_of, tuple) else ["image_of is not a tuple"]
+        ) + linear_map_violations(source, target, image_of),
+        "_quotient": lambda m, rho: (
+            [] if rho.parent == m else ["partition of another parent"]
+        ) + partition_violations(m, rho.class_of),
+        "_semiring_table": semiring_violations,
+    }
+    record = {name: [] for name in checks}
+    originals = {name: getattr(core, name) for name in checks}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "finsemi" or mod_name.startswith("finsemi."):
+            for name, fn in originals.items():
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, _checked(fn, name, checks[name], record))
+    # cached results from earlier tests would hide the builds
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("finsemi."):
+            for obj in vars(mod).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+    try:
+        for name, s in auditor._catalog_fixtures():
+            auditor.audit_instance(s, instance=name)
+        auditor.fixture_expectation_records()
+        auditor.audit_corpus(order_bound=3)
+    finally:
+        # a bad value usually also breaks the engine further on; report the value
+        bad = {name: [v for v in found if v] for name, found in record.items()}
+        assert not any(bad.values()), {name: (len(v), v[:1]) for name, v in bad.items() if v}
+    for name, found in record.items():
+        assert found, f"{name} never ran"
