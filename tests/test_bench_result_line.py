@@ -44,6 +44,9 @@ def test_traced_result_carries_every_declared_layer_metric():
     metrics = _result("corpus4", 1)
     assert set(metrics) == declared
     for name, metric in metrics.items():
-        # a function the workload never calls legitimately reads 0
+        # A function the workload never calls legitimately reads 0.  The
+        # overhead is the traced minus the median untraced time, so host
+        # noise can make it negative.
         value = metric["value"]
-        assert math.isfinite(value) and value >= 0, (name, value)
+        assert math.isfinite(value), (name, value)
+        assert value >= 0 or name == "trace.overhead_s", (name, value)
