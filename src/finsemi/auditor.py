@@ -273,14 +273,14 @@ class InstanceFacts:
                 self.left_subtractive = all(sub.is_subtractive() for sub in subs_all)
                 self.all_subs = list(subs_all)
             self.family = bounded_family(s, limits)
-            self.e_proj = all(is_e_projective(p, self.m, limits).holds
-                              for _, p in self.family)
-            self.k_proj = all(is_k_projective(p, self.m, limits).holds
-                              for _, p in self.family)
-            self.e_inj = all(is_e_injective(j, self.m, limits).holds
-                             for _, j in self.family)
-            self.i_inj = all(is_i_injective(j, self.m, limits).holds
-                             for _, j in self.family)
+            # a sequence record's ``right`` is the lifting verdict for its K,
+            # so the e-reports also give k-projectivity and i-injectivity
+            e_proj = [is_e_projective(p, self.m, limits) for _, p in self.family]
+            e_inj = [is_e_injective(j, self.m, limits) for _, j in self.family]
+            self.e_proj = all(rep.holds for rep in e_proj)
+            self.k_proj = all(r.right for rep in e_proj for r in rep.records)
+            self.e_inj = all(rep.holds for rep in e_inj)
+            self.i_inj = all(r.right for rep in e_inj for r in rep.records)
         self.quotients_k_proj = all(
             is_k_projective(
                 _quotient(self.m, bourne_congruence(self.m, sub))[0],

@@ -487,10 +487,6 @@ def generated_subsemimodule(m: SemimoduleTable, seed) -> SubStructure:
     return SubStructure(m, _closure_mask(m, seed_mask))
 
 
-def principal_subsemimodule(m: SemimoduleTable, x: int) -> SubStructure:
-    return generated_subsemimodule(m, 1 << x)
-
-
 def subtractive_closure(sub: SubStructure) -> SubStructure:
     """The subtractive closure, itself a SubStructure of the same parent."""
     return SubStructure(sub.parent, sub.subtractive_closure_members)

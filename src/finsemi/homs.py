@@ -166,6 +166,8 @@ def enumerate_homs(source: SemimoduleTable, target: SemimoduleTable,
 @lru_cache(maxsize=65536)
 def _enumerate_homs_cached(source: SemimoduleTable, target: SemimoduleTable,
                            max_nodes: int) -> Enumeration:
+    if source.base != target.base:
+        return Enumeration(items=(), exhaustive=True)
     gens = generating_set(source)
     stages = _stages(source)
     candidates = [_hom_candidates(source, target, g) for g in gens]
@@ -225,9 +227,9 @@ def _enumerate_homs_cached(source: SemimoduleTable, target: SemimoduleTable,
         if not exhaustive:
             return
         if depth == len(gens):
-            result = tuple(img)
-            if not linear_map_violations(source, target, result):
-                found.append(_linear_map(source, target, result))
+            # the last replay_stage checked every pair and scalar, and the
+            # zero rule fixed zero
+            found.append(_linear_map(source, target, tuple(img)))
             return
         g = gens[depth]
         for v in candidates[depth]:

@@ -7,6 +7,19 @@ k-normal surjections), and normal injections into M by inclusions of
 subtractive subsemimodules.  Quantifiers over "every semimodule" are
 bounded to the family built by :func:`bounded_family`.
 
+All four deciders are views of one pass over the subtractive K <= M and
+their sequences 0 -> K -f-> M -g-> M/K -> 0.  It pushes each candidate
+(h: P -> M to g.h, or h: M -> J to h.f) and finds the first lift of each
+test map (P -> M/K, or K -> J).  k-projectivity and i-injectivity ask that
+every test map lifts; e-projectivity and e-injectivity that the Hom
+sequence 0 -> A -> B -> C -> 0, with B the candidates and push B -> C, is
+short exact (Golan, *Semirings and their Applications*, 1999).  A -> B,
+composing with the injective f or the surjective g, is injective, and its
+image is the kernel of push: h: P -> M lands in K iff g.h is zero, as K is
+the zero class of its Bourne congruence, and h: M -> J kills K iff it is
+constant on Bourne classes.  So exactness at C is the lifting verdict for
+K, and exactness at B is whether push is k-normal on B.
+
 A direct sum A + B is a biproduct: Hom(A + B, X) is Hom(A, X) x Hom(B, X)
 and Hom(X, A + B) is Hom(X, A) x Hom(X, B), as commutative monoids.  So
 every lifting or extension problem on A + B splits into one per summand,
@@ -19,6 +32,7 @@ an ``all`` over its closure under finite sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .core import (
     DEFAULT_LIMITS,
@@ -26,19 +40,17 @@ from .core import (
     Limits,
     SemimoduleTable,
     SemiringTable,
-    SubStructure,
     Table,
     _is_k_normal,
     _quotient,
     bourne_congruence,
     enumerate_congruences,
     enumerate_subsemimodules,
-    inclusion_map,
     mask_of,
     sub_module,
 )
 from .errors import LimitExceeded
-from .homs import _pointwise_sums, are_isomorphic, canonical_short_exact, enumerate_homs
+from .homs import _pointwise_sums, are_isomorphic, enumerate_homs
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +94,18 @@ class Monoid:
     zero: int
 
 
-def hom_monoid(source: SemimoduleTable, target: SemimoduleTable,
-               limits: Limits = DEFAULT_LIMITS) -> tuple[Monoid, tuple[LinearMap, ...]]:
-    """Hom(source, target) under pointwise addition."""
+def _all_homs(source: SemimoduleTable, target: SemimoduleTable,
+              limits: Limits) -> tuple[LinearMap, ...]:
     homs = enumerate_homs(source, target, limits)
     if not homs.exhaustive:
         raise LimitExceeded("hom enumeration truncated")
-    maps = homs.items
+    return homs.items
+
+
+def hom_monoid(source: SemimoduleTable, target: SemimoduleTable,
+               limits: Limits = DEFAULT_LIMITS) -> tuple[Monoid, tuple[LinearMap, ...]]:
+    """Hom(source, target) under pointwise addition."""
+    maps = _all_homs(source, target, limits)
     add, index = _pointwise_sums(target, maps)
     zero = index[(target.zero,) * source.order]
     return Monoid(order=len(maps), add=add, zero=zero), maps
@@ -134,105 +151,86 @@ class DeciderReport:
         return [r for r in self.records if not r.exact]
 
 
-def _subtractive_subs(m: SemimoduleTable, limits: Limits) -> list[SubStructure]:
+def _lifting_pass(m: SemimoduleTable, candidates: tuple[LinearMap, ...], limits: Limits, problem):
+    """Per subtractive K <= M in bitset order, with ``(push, source,
+    target) = problem(K)``: K's mask, the candidates' image arrays after
+    ``push``, the zero map source -> target, and each hom source -> target
+    (a test map) with its first lift, or None.  Raises
+    :class:`LimitExceeded` if an enumeration is truncated."""
     subt = enumerate_subsemimodules(m, limits, subtractive_only=True)
     if not subt.exhaustive:
         raise LimitExceeded("subtractive enumeration truncated")
-    return list(subt)
+    for sub in subt:
+        push, source, target = problem(sub)
+        pushed = [push(h.image_of) for h in candidates]
+        first: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for h, image in zip(candidates, pushed):
+            first.setdefault(image, h.image_of)
+        lifts = [(g.image_of, first.get(g.image_of)) for g in _all_homs(source, target, limits)]
+        yield sub.members, pushed, (target.zero,) * source.order, lifts
 
 
-def _lifting_report(kind: str, m: SemimoduleTable,
-                    candidate_ends: tuple[SemimoduleTable, SemimoduleTable],
+def _lifting_report(kind: str, m: SemimoduleTable, candidates: tuple[LinearMap, ...],
                     limits: Limits, problem) -> DeciderReport:
-    """Solve the lifting (or extension) problem posed by each subtractive
-    K <= M.
+    records = tuple(LiftingProblem(kind=kind, kernel_mask=mask, test_map=g, witness=h)
+                    for mask, _, _, lifts in _lifting_pass(m, candidates, limits, problem)
+                    for g, h in lifts)
+    return DeciderReport(kind=kind, holds=all(r.witness is not None for r in records),
+                         records=records)
 
-    The candidates are the homs between ``candidate_ends``; they do not
-    depend on K.  ``problem(K)`` returns ``(push, tests)``: ``push`` carries
-    a candidate through the fixed map of the problem, and each test map must
-    arise that way.  The witness is the first candidate in canonical order.
-    """
-    subs = _subtractive_subs(m, limits)
-    candidates = enumerate_homs(*candidate_ends, limits)
-    if not candidates.exhaustive:
-        raise LimitExceeded("hom enumeration truncated")
+
+def _exactness_report(kind: str, m: SemimoduleTable, middle: tuple[Monoid, tuple[LinearMap, ...]],
+                      limits: Limits, problem) -> DeciderReport:
+    """``middle`` is B as :func:`hom_monoid` gives it.  By the identities of
+    the module docstring, ``left`` always holds and ``middle`` is whether
+    push is k-normal on B."""
+    monoid, maps = middle
     records = []
-    for sub in subs:
-        push, tests = problem(sub)
-        solved = {push(h).image_of: h for h in reversed(candidates.items)}
-        for g in tests:
-            h = solved.get(g.image_of)
-            records.append(LiftingProblem(
-                kind=kind, kernel_mask=sub.members, test_map=g.image_of,
-                witness=None if h is None else h.image_of))
-    holds = all(r.witness is not None for r in records)
-    return DeciderReport(kind=kind, holds=holds, records=tuple(records))
+    for mask, pushed, zero, lifts in _lifting_pass(m, maps, limits, problem):
+        kernel = mask_of(i for i, image in enumerate(pushed) if image == zero)
+        records.append(SequenceTransferRecord(
+            kernel_mask=mask, left=True, middle=_is_k_normal(monoid.add, pushed, kernel),
+            right=all(h is not None for _, h in lifts)))
+    return DeciderReport(kind=kind, holds=all(r.exact for r in records), records=tuple(records))
+
+
+def _through_quotient(p: SemimoduleTable, m: SemimoduleTable, sub):
+    """Lift maps p -> M/K through the projection M -> M/K."""
+    quot, proj = _quotient(m, bourne_congruence(m, sub))
+    return (lambda h: tuple(proj.image_of[y] for y in h)), p, quot
+
+
+def _along_inclusion(j: SemimoduleTable, sub):
+    """Extend maps K -> j along the inclusion K -> M."""
+    part, to_parent = sub_module(sub)
+    return (lambda h: tuple(h[x] for x in to_parent)), part, j
 
 
 def is_k_projective(p: SemimoduleTable, m: SemimoduleTable,
                     limits: Limits = DEFAULT_LIMITS) -> DeciderReport:
     """Every map p -> M/K lifts through the canonical projection."""
-    def problem(sub):
-        quot, proj = _quotient(m, bourne_congruence(m, sub))
-        return proj.compose, enumerate_homs(p, quot, limits)
-    return _lifting_report("k-projective", m, (p, m), limits, problem)
+    return _lifting_report("k-projective", m, _all_homs(p, m, limits), limits,
+                           partial(_through_quotient, p, m))
 
 
 def is_i_injective(j: SemimoduleTable, m: SemimoduleTable,
                    limits: Limits = DEFAULT_LIMITS) -> DeciderReport:
     """Every map K -> j from a subtractive K <= M extends over M."""
-    def problem(sub):
-        part, incl = inclusion_map(sub)
-        return (lambda h: h.compose(incl)), enumerate_homs(part, j, limits)
-    return _lifting_report("i-injective", m, (m, j), limits, problem)
-
-
-def _transfer_report(kind: str, m: SemimoduleTable, limits: Limits, middle, functor) -> DeciderReport:
-    """Whether a Hom functor sends every canonical short exact sequence
-    0 -> K -f-> M -g-> M/K -> 0 to a short exact sequence of commutative
-    monoids 0 -> A -> B -> C -> 0.
-
-    ``middle`` is B with its maps as :func:`hom_monoid` gives them.  It is
-    the Hom of M itself, the middle term of every sequence, so it does not
-    depend on K.  ``functor(k, f, g, quot)`` returns the monoids A and C in
-    the same form, and then the two induced maps A -> B and B -> C as
-    functions on linear maps.
-    """
-    h_b, maps_b = middle
-    index_b = {q.image_of: i for i, q in enumerate(maps_b)}
-    records = []
-    for sub in _subtractive_subs(m, limits):
-        seq = canonical_short_exact(m, sub)
-        k, quot, (f, g) = seq.modules[1], seq.modules[3], seq.maps[1:3]
-        (h_a, maps_a), (h_c, maps_c), first, second = functor(k, f, g, quot)
-        index_c = {q.image_of: i for i, q in enumerate(maps_c)}
-        first_idx = tuple(index_b[first(q).image_of] for q in maps_a)
-        second_idx = tuple(index_c[second(q).image_of] for q in maps_b)
-        second_kernel = mask_of(i for i, v in enumerate(second_idx) if v == h_c.zero)
-        records.append(SequenceTransferRecord(
-            kernel_mask=sub.members,
-            left=len(set(first_idx)) == h_a.order,
-            middle=(mask_of(first_idx) == second_kernel
-                    and _is_k_normal(h_b.add, second_idx, second_kernel)),
-            right=len(set(second_idx)) == h_c.order))
-    holds = all(r.exact for r in records)
-    return DeciderReport(kind=kind, holds=holds, records=tuple(records))
+    return _lifting_report("i-injective", m, _all_homs(m, j, limits), limits,
+                           partial(_along_inclusion, j))
 
 
 def is_e_projective(p: SemimoduleTable, m: SemimoduleTable,
                     limits: Limits = DEFAULT_LIMITS) -> DeciderReport:
     """Hom(p, -) sends every short exact 0->K->M->M/K->0 to a short exact
     sequence of commutative monoids."""
-    def hom_from_p(k, f, g, quot):
-        return hom_monoid(p, k, limits), hom_monoid(p, quot, limits), f.compose, g.compose
-    return _transfer_report("e-projective", m, limits, hom_monoid(p, m, limits), hom_from_p)
+    return _exactness_report("e-projective", m, hom_monoid(p, m, limits), limits,
+                             partial(_through_quotient, p, m))
 
 
 def is_e_injective(j: SemimoduleTable, m: SemimoduleTable,
                    limits: Limits = DEFAULT_LIMITS) -> DeciderReport:
     """Hom(-, j) sends every short exact 0->K->M->M/K->0 to a short exact
     sequence 0 -> Hom(M/K, j) -> Hom(M, j) -> Hom(K, j) -> 0."""
-    def hom_into_j(k, f, g, quot):
-        return (hom_monoid(quot, j, limits), hom_monoid(k, j, limits),
-                lambda q: q.compose(g), lambda q: q.compose(f))
-    return _transfer_report("e-injective", m, limits, hom_monoid(m, j, limits), hom_into_j)
+    return _exactness_report("e-injective", m, hom_monoid(m, j, limits), limits,
+                             partial(_along_inclusion, j))

@@ -1,6 +1,7 @@
 import pytest
 
 from finsemi.catalog import boolean_semiring, make_B, make_product
+from finsemi.core import validate_semiring
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +32,19 @@ def B43():
 @pytest.fixture(scope="session")
 def BxB(B):
     return make_product([B, B])
+
+
+def _relabelled(s, pi):
+    """The semiring isomorphic to s under x -> pi[x]."""
+    inv = [0] * s.order
+    for old, new in enumerate(pi):
+        inv[new] = old
+    rng = range(s.order)
+    return validate_semiring([[pi[s.add[inv[a]][inv[b]]] for b in rng] for a in rng],
+                             [[pi[s.mul[inv[a]][inv[b]]] for b in rng] for a in rng],
+                             zero=pi[s.zero], one=pi[s.one])
+
+
+@pytest.fixture(scope="session")
+def relabelled():
+    return _relabelled

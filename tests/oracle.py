@@ -257,18 +257,88 @@ def certifies_congruence_simple(s) -> bool:
 # isomorphism
 
 
+def is_linear(a: Module, b: Module, f: Sequence[int]) -> bool:
+    """f carries zero, addition and the action of a into b."""
+    n = range(a.order)
+    return (f[a.zero] == b.zero
+            and all(f[a.add[x][y]] == b.add[f[x]][f[y]] for x in n for y in n)
+            and all(f[ra[x]] == rb[f[x]] for ra, rb in zip(a.act, b.act) for x in n))
+
+
 def isomorphic(a: Module, b: Module) -> bool:
     """Some bijection carries zero, addition and the action of a onto b."""
     if a.order != b.order or len(a.act) != len(b.act):
         return False
     _check_brute(a)
-    n = a.order
-    for f in permutations(range(n)):
-        if (f[a.zero] == b.zero
-                and all(f[a.add[x][y]] == b.add[f[x]][f[y]] for x in range(n) for y in range(n))
-                and all(f[ra[x]] == rb[f[x]] for ra, rb in zip(a.act, b.act) for x in range(n))):
-            return True
-    return False
+    return any(is_linear(a, b, f) for f in permutations(range(a.order)))
+
+
+# ---------------------------------------------------------------------------
+# homs and the Hom sequences of 0 -> K -> M -> M/K -> 0
+
+
+def homs(a: Module, b: Module) -> list[tuple[int, ...]]:
+    """Every linear map a -> b, from all n^m maps, in lexicographic order."""
+    return [f for f in product(range(b.order), repeat=a.order) if is_linear(a, b, f)]
+
+
+def restrict(m: Module, members) -> tuple[Module, list[int]]:
+    """A submodule as a module of its own, with element k the k-th least
+    member, plus the inclusion into m as an image list."""
+    elems = sorted(members)
+    index = {x: k for k, x in enumerate(elems)}
+    return Module(len(elems), index[m.zero],
+                  [[index[m.add[x][y]] for y in elems] for x in elems],
+                  [[index[row[x]] for x in elems] for row in m.act]), elems
+
+
+def _monoid_sequence(a, b, c, first, second, add_b, zero_c) -> tuple[bool, bool, bool, bool]:
+    """Flags of 0 -> A -first-> B -second-> C -> 0, for Hom sets given as
+    lists of image tuples and B added by ``add_b``: first is injective, its
+    image is the kernel of second, second is k-normal (equal values only
+    where b + k = b' + k' for some k, k' in the kernel), and second is
+    surjective."""
+    images = {first(f) for f in a}
+    value = {f: second(f) for f in b}
+    kernel = [f for f in b if value[f] == zero_c]
+    reach = {f: {add_b(f, k) for k in kernel} for f in b}
+    k_normal = all(reach[f] & reach[g] for f in b for g in b if value[f] == value[g])
+    return (len(images) == len(a), images == set(kernel), k_normal,
+            set(value.values()) == set(c))
+
+
+def _canonical_sequence(m: Module, ideal):
+    """K as a module with its inclusion, and M/K with its projection."""
+    k, incl = restrict(m, ideal)
+    classes = bourne_classes(m, ideal)
+    proj = [next(i for i, c in enumerate(classes) if x in c) for x in range(m.order)]
+    return k, incl, quotient(m, classes), proj
+
+
+def _pointwise_sum(t: Module):
+    return lambda f, g: tuple(t.add[x][y] for x, y in zip(f, g))
+
+
+def projective_sequence(p: Module, m: Module, ideal) -> tuple[bool, bool, bool, bool]:
+    """The flags of 0 -> Hom(P, K) -> Hom(P, M) -> Hom(P, M/K) -> 0 for a
+    subtractive ``ideal`` K of m, the maps composing with the inclusion and
+    with the projection."""
+    k, incl, q, proj = _canonical_sequence(m, ideal)
+    return _monoid_sequence(
+        homs(p, k), homs(p, m), homs(p, q),
+        lambda f: tuple(incl[y] for y in f), lambda f: tuple(proj[y] for y in f),
+        _pointwise_sum(m), (q.zero,) * p.order)
+
+
+def injective_sequence(j: Module, m: Module, ideal) -> tuple[bool, bool, bool, bool]:
+    """The flags of 0 -> Hom(M/K, J) -> Hom(M, J) -> Hom(K, J) -> 0 for a
+    subtractive ``ideal`` K of m, the maps composing with the projection and
+    with the inclusion."""
+    k, incl, q, proj = _canonical_sequence(m, ideal)
+    return _monoid_sequence(
+        homs(q, j), homs(m, j), homs(k, j),
+        lambda f: tuple(f[proj[x]] for x in range(m.order)), lambda f: tuple(f[x] for x in incl),
+        _pointwise_sum(j), (j.zero,) * k.order)
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +390,8 @@ def idempotent_c2_c2prime(m: Module) -> tuple[bool, bool]:
     for big in idempotent_subtractive_submodules(m):
         inner = [n for n in idempotent_subtractive_submodules(m, big) if n != big]
         maximal = [n for n in inner if not any(n < o for o in inner)]
-        elems = sorted(big)
+        restricted, elems = restrict(m, big)
         index = {x: k for k, x in enumerate(elems)}
-        restricted = Module(len(elems), index[m.zero],
-                            [[index[m.add[x][y]] for y in elems] for x in elems],
-                            [[index[row[x]] for x in elems] for row in m.act])
         for small in maximal:
             local = [index[x] for x in small]
             q = quotient(restricted, bourne_classes(restricted, local))

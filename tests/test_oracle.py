@@ -40,9 +40,9 @@ from finsemi.core import (
     product_module,
     quotient_by_congruence,
     sub_module,
-    validate_semiring,
 )
-from finsemi.homs import are_isomorphic
+from finsemi.homs import are_isomorphic, enumerate_homs
+from finsemi.projinj import bounded_family, is_e_injective, is_e_projective
 from finsemi.semisimple import condition_profile, semiring_simplicity_profile
 
 
@@ -206,18 +206,7 @@ def test_semiring_simplicity_on_every_small_bni():
             _check_semiring_simplicity(f"B({n},{i})", make_B(n, i))
 
 
-def _relabelled(s, pi):
-    """The semiring isomorphic to s under x -> pi[x]."""
-    inv = [0] * s.order
-    for old, new in enumerate(pi):
-        inv[new] = old
-    rng = range(s.order)
-    return validate_semiring([[pi[s.add[inv[a]][inv[b]]] for b in rng] for a in rng],
-                             [[pi[s.mul[inv[a]][inv[b]]] for b in rng] for a in rng],
-                             zero=pi[s.zero], one=pi[s.one])
-
-
-def test_translation_certificate_is_sound_on_small_semirings():
+def test_translation_certificate_is_sound_on_small_semirings(relabelled):
     # wherever the certificate holds, all set partitions agree; and it
     # holds somewhere, so it is not vacuous.  Every labelling of the
     # semirings of order at most 4 is tried, since the certificate depends
@@ -226,7 +215,7 @@ def test_translation_certificate_is_sound_on_small_semirings():
     for name, s in _small_semirings():
         labellings = permutations(range(s.order)) if s.order <= 4 else [range(s.order)]
         for pi in labellings:
-            r = _relabelled(s, list(pi))
+            r = relabelled(s, list(pi))
             if oracle.certifies_congruence_simple(r):
                 certified += 1
                 assert len(oracle.semiring_congruences(r)) == 2, (name, pi)
@@ -351,3 +340,52 @@ def test_two_generator_subsemimodules_of_squares():
         for a, b in combinations(range(p.order), 2):
             got = generated_subsemimodule(p, [a, b]).members
             assert set(bits(got)) == oracle.generated_submodule(naive, [a, b]), (name, a, b)
+
+
+# ---------------------------------------------------------------------------
+# hom sets, and the e-deciders against the Hom sequences they decide
+
+
+def _families(max_order: int):
+    for name, s in _corpus():
+        if s.order <= max_order:
+            yield name, s, [mod for _, mod in bounded_family(s)]
+
+
+def test_hom_sets_of_small_modules():
+    # sums of two family members are sources with no cyclic generator, where
+    # a hom is not fixed by the action on one element
+    non_cyclic = 0
+    for name, _, family in _families(4):
+        sums = [product_module(a, b) for a, b in combinations(family, 2)
+                if a.order * b.order <= 4]
+        non_cyclic += sum(not any(len({row[g] for row in p.act}) == p.order
+                                  for g in range(p.order)) for p in sums)
+        for a in family + sums:
+            for b in family:
+                homs = enumerate_homs(a, b)
+                assert homs.exhaustive
+                assert [f.image_of for f in homs] == \
+                    oracle.homs(oracle.as_module(a), oracle.as_module(b)), name
+    assert non_cyclic
+
+
+@pytest.mark.parametrize("decider, route", [
+    (is_e_projective, oracle.projective_sequence),
+    (is_e_injective, oracle.injective_sequence),
+], ids=["e-projective", "e-injective"])
+def test_e_deciders_against_hom_sequences(decider, route):
+    failed = set()
+    for name, s, family in _families(4):
+        m, naive = s.left_module(), oracle.left_module(s)
+        ideals = oracle.submodules(naive, subtractive=True)
+        for mod in family:
+            flags = [route(oracle.as_module(mod), naive, k) for k in ideals]
+            # A -> B is injective, and its image is the kernel of B -> C
+            assert all(left and image_is_kernel for left, image_is_kernel, _, _ in flags), name
+            expected = [(sum(1 << x for x in k), left, image_is_kernel and k_normal, right)
+                        for k, (left, image_is_kernel, k_normal, right) in zip(ideals, flags)]
+            got = [(r.kernel_mask, r.left, r.middle, r.right) for r in decider(mod, m).records]
+            assert got == expected, name
+            failed |= {i for r in expected for i in (2, 3) if not r[i]}
+    assert failed == {2, 3}  # exactness fails at B somewhere and at C somewhere

@@ -7,6 +7,7 @@ import pytest
 from finsemi.auditor import enumerate_semirings
 from finsemi.catalog import make_B
 from finsemi.core import (
+    Limits,
     SubStructure,
     bourne_congruence,
     inclusion_map,
@@ -14,6 +15,7 @@ from finsemi.core import (
     quotient_by_congruence,
     zero_module,
 )
+from finsemi.errors import LimitExceeded
 from finsemi.projinj import (
     bounded_family,
     is_e_injective,
@@ -162,7 +164,7 @@ def test_b31_not_e_injective_over_itself(B31):
 # isomorphism invariance
 
 
-def test_deciders_invariant_under_relabeling(B31):
+def test_deciders_invariant_under_relabeling(B31, relabelled):
     m = B31.left_module()
     imod = inclusion_map(SubStructure(m, 0b101))[0]
     # a relabeled copy of the quotient: swap the two class indices
@@ -175,6 +177,15 @@ def test_deciders_invariant_under_relabeling(B31):
     relabeled = validate_semimodule(B31, add, act, zero=perm[quot.zero])
     for decider in (is_k_projective, is_e_projective, is_i_injective, is_e_injective):
         assert decider(quot, m).holds == decider(relabeled, m).holds
+    # reversing the carrier moves zero off label 0, so a decider that takes
+    # some map other than the zero map for zero changes its verdicts
+    for order in (2, 3):
+        for s in enumerate_semirings(order):
+            r = relabelled(s, list(range(order))[::-1])
+            for decider in (is_k_projective, is_e_projective, is_i_injective, is_e_injective):
+                verdicts = [sorted(decider(a, t.left_module()).holds for _, a in bounded_family(t))
+                            for t in (s, r)]
+                assert verdicts[0] == verdicts[1], (decider.__name__, s)
 
 
 def test_zero_module_e_injective(B31, B43):
@@ -183,7 +194,7 @@ def test_zero_module_e_injective(B31, B43):
 
 
 # ---------------------------------------------------------------------------
-# cost: the middle Hom is built once per decider call
+# cost: the middle Hom is the only Hom monoid a decider builds
 
 
 @pytest.mark.parametrize("decider", [is_e_projective, is_e_injective])
@@ -200,7 +211,20 @@ def test_middle_hom_monoid_built_once(B31, monkeypatch, decider):
     monkeypatch.setattr(projinj, "hom_monoid", spy)
     m = B31.left_module()
     decider(m, m)
-    # one middle Hom(M, M), then the two outer ones for each of the three
-    # subtractive K (the canonical sequences share M as their middle term)
-    assert len(calls) == 7
-    assert sum(source is m and target is m for source, target in calls) == 1
+    # Hom(M, M), the middle term of every canonical sequence; the outer
+    # terms need no monoid table
+    assert calls == [(m, m)]
+
+
+# ---------------------------------------------------------------------------
+# truncation
+
+
+@pytest.mark.parametrize("decider", [is_k_projective, is_e_projective])
+def test_truncated_test_maps_raise(B31, decider):
+    # Hom(P, M) fits in one node, Hom(P, M/K) does not: a decider that
+    # checked only the candidates would read a prefix of the test maps and
+    # call the quotient k-projective, which it is not
+    p, m = _quotient_by_ideal(B31), B31.left_module()
+    with pytest.raises(LimitExceeded):
+        decider(p, m, Limits(max_hom_nodes=1))
