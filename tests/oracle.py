@@ -2,7 +2,8 @@
 
 Every route here works from the definitions: substructures from all 2^n
 subsets, congruences from all set partitions, the Bourne relation from its
-defining equation closed transitively, isomorphism from all bijections.
+defining equation closed transitively, isomorphism from all bijections,
+homs from all n^m maps and the exactness of Hom sequences from those homs.
 The one route that walks neither, a certificate of semiring
 congruence-simplicity, closes one pair by a naive fixpoint and argues the
 rest from translations, so it also admits larger carriers.

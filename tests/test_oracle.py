@@ -8,8 +8,9 @@ calculation gives it, compared with that value too.  They also check the
 semiring-level ideal- and congruence-simplicity verdicts, and their
 witnesses, on every small semiring, the congruence lattices and
 principal congruences of small modules and semirings, the
-subsemimodule lattices and generated subsemimodules of small modules, and
-the congruence-simplicity of ``E(M3)`` and ``E(N5)`` above the
+subsemimodule lattices, generated subsemimodules and hom sets of small
+modules, the four projectivity and injectivity deciders against naive Hom
+sequences, and the congruence-simplicity of ``E(M3)`` and ``E(N5)`` above the
 brute-force cap, through the oracle's translation certificate.
 """
 
@@ -42,7 +43,13 @@ from finsemi.core import (
     sub_module,
 )
 from finsemi.homs import are_isomorphic, enumerate_homs
-from finsemi.projinj import bounded_family, is_e_injective, is_e_projective
+from finsemi.projinj import (
+    bounded_family,
+    is_e_injective,
+    is_e_projective,
+    is_i_injective,
+    is_k_projective,
+)
 from finsemi.semisimple import condition_profile, semiring_simplicity_profile
 
 
@@ -277,6 +284,11 @@ def _small_semirings():
     return _corpus() + bni
 
 
+def _is_cyclic(m) -> bool:
+    """Some element's scalar orbit is the whole carrier."""
+    return any(len({row[g] for row in m.act}) == m.order for g in range(m.order))
+
+
 def test_module_congruences_on_every_small_semiring():
     for name, s in _small_semirings():
         _check_congruences(name, s.left_module(), oracle.congruences(oracle.left_module(s)))
@@ -290,7 +302,7 @@ def test_semiring_congruences_on_every_small_semiring():
 def test_congruences_of_a_module_with_no_cyclic_generator():
     mb = boolean_semiring().left_module()
     m = product_module(mb, mb)
-    assert not any(len({row[g] for row in m.act}) == m.order for g in range(m.order))
+    assert not _is_cyclic(m)
     _check_congruences("B+B", m, oracle.congruences(oracle.as_module(m)))
 
 
@@ -306,7 +318,7 @@ def _closure_sweep():
     for n, i in [(3, 1), (3, 2)]:
         m = make_B(n, i).left_module()
         p = product_module(m, m)
-        assert not any(len({row[g] for row in p.act}) == p.order for g in range(p.order))
+        assert not _is_cyclic(p)
         mods.append((f"B({n},{i})+B({n},{i})", p))
     return mods
 
@@ -343,24 +355,22 @@ def test_two_generator_subsemimodules_of_squares():
 
 
 # ---------------------------------------------------------------------------
-# hom sets, and the e-deciders against the Hom sequences they decide
+# hom sets, and the deciders against the Hom sequences they decide
 
 
-def _families(max_order: int):
+def _families():
     for name, s in _corpus():
-        if s.order <= max_order:
-            yield name, s, [mod for _, mod in bounded_family(s)]
+        yield name, s, [mod for _, mod in bounded_family(s)]
 
 
 def test_hom_sets_of_small_modules():
     # sums of two family members are sources with no cyclic generator, where
     # a hom is not fixed by the action on one element
     non_cyclic = 0
-    for name, _, family in _families(4):
+    for name, _, family in _families():
         sums = [product_module(a, b) for a, b in combinations(family, 2)
                 if a.order * b.order <= 4]
-        non_cyclic += sum(not any(len({row[g] for row in p.act}) == p.order
-                                  for g in range(p.order)) for p in sums)
+        non_cyclic += sum(not _is_cyclic(p) for p in sums)
         for a in family + sums:
             for b in family:
                 homs = enumerate_homs(a, b)
@@ -370,13 +380,13 @@ def test_hom_sets_of_small_modules():
     assert non_cyclic
 
 
-@pytest.mark.parametrize("decider, route", [
-    (is_e_projective, oracle.projective_sequence),
-    (is_e_injective, oracle.injective_sequence),
-], ids=["e-projective", "e-injective"])
-def test_e_deciders_against_hom_sequences(decider, route):
+@pytest.mark.parametrize("decider, lifting, route", [
+    (is_e_projective, is_k_projective, oracle.projective_sequence),
+    (is_e_injective, is_i_injective, oracle.injective_sequence),
+], ids=["projective", "injective"])
+def test_deciders_against_hom_sequences(decider, lifting, route):
     failed = set()
-    for name, s, family in _families(4):
+    for name, s, family in _families():
         m, naive = s.left_module(), oracle.left_module(s)
         ideals = oracle.submodules(naive, subtractive=True)
         for mod in family:
@@ -387,5 +397,7 @@ def test_e_deciders_against_hom_sequences(decider, route):
                         for k, (left, image_is_kernel, k_normal, right) in zip(ideals, flags)]
             got = [(r.kernel_mask, r.left, r.middle, r.right) for r in decider(mod, m).records]
             assert got == expected, name
+            # exactness at C is the lifting verdict
+            assert lifting(mod, m).holds == all(r[3] for r in expected), name
             failed |= {i for r in expected for i in (2, 3) if not r[i]}
     assert failed == {2, 3}  # exactness fails at B somewhere and at C somewhere
