@@ -33,9 +33,7 @@ from .core import (
 from .errors import LimitExceeded
 from .homs import (
     are_isomorphic,
-    canonical_short_exact,
     enumerate_homs,
-    splitting_profile,
     short_exact_equivalences,
     zero_flanked,
 )
@@ -242,6 +240,14 @@ def _fmt_mask(mask: int) -> str:
 # per-instance facts
 
 
+def _identity_lift(report, mask: int, order: int) -> tuple[int, ...] | None:
+    """The witness of ``report``'s record at kernel ``mask`` whose test map
+    is the identity of a module of ``order`` elements."""
+    identity = tuple(range(order))
+    return next(r.witness for r in report.records
+                if r.kernel_mask == mask and r.test_map == identity)
+
+
 class InstanceFacts:
     """Everything the audits consume, computed once per instance."""
 
@@ -255,18 +261,14 @@ class InstanceFacts:
             raise LimitExceeded("subtractive ideal enumeration truncated")
         self.subtractive = list(subt)
         self.poset = summand_poset(self.m, limits)
-        self.all_subtractive_summands = all(
-            self.poset.is_summand(sub.members) for sub in self.subtractive)
         self.cprofile = condition_profile(s, limits)
+        # C1, read off the same subtractive lattice and summand poset
+        self.all_subtractive_summands = self.cprofile.c1
         self.ssprofile = semisimplicity_profile(s, limits)
         self.decomposition = irreducible_decomposition(s, limits)
         self.left_subtractive = None
         self.family = None
         self.e_proj = self.k_proj = self.e_inj = self.i_inj = None
-        self.quotients_k_proj = None
-        self.subtractive_i_inj = None
-        self.right_split = self.left_split = None
-        self.splittings = {}
         if scope == "full":
             subs_all = enumerate_subsemimodules(self.m, limits)
             if subs_all.exhaustive:
@@ -275,25 +277,29 @@ class InstanceFacts:
             self.family = bounded_family(s, limits)
             # a sequence record's ``right`` is the lifting verdict for its K,
             # so the e-reports also give k-projectivity and i-injectivity
-            e_proj = [is_e_projective(p, self.m, limits) for _, p in self.family]
-            e_inj = [is_e_injective(j, self.m, limits) for _, j in self.family]
+            e_proj = [is_e_projective(p, self.m, limits) for p in self.family]
+            e_inj = [is_e_injective(j, self.m, limits) for j in self.family]
             self.e_proj = all(rep.holds for rep in e_proj)
             self.k_proj = all(r.right for rep in e_proj for r in rep.records)
             self.e_inj = all(rep.holds for rep in e_inj)
             self.i_inj = all(r.right for rep in e_inj for r in rep.records)
-        self.quotients_k_proj = all(
-            is_k_projective(
-                _quotient(self.m, bourne_congruence(self.m, sub))[0],
-                self.m, limits).holds
-            for sub in self.subtractive)
-        self.subtractive_i_inj = all(
-            is_i_injective(sub_module(sub)[0], self.m, limits).holds
-            for sub in self.subtractive)
+        # Per subtractive K, the first retraction M -> K and the first
+        # section M/K -> M of 0 -> K -> M -> M/K -> 0 (image arrays, or
+        # None): the first lifts of the identity test maps, at kernel K, of
+        # the i-injectivity report of K and the k-projectivity report of M/K.
+        self.splittings: dict[int, tuple[tuple[int, ...] | None, tuple[int, ...] | None]] = {}
+        self.quotients_k_proj = self.subtractive_i_inj = True
         for sub in self.subtractive:
-            self.splittings[sub.members] = splitting_profile(
-                canonical_short_exact(self.m, sub), limits)
-        self.right_split = all(p.right is not None for p in self.splittings.values())
-        self.left_split = all(p.left is not None for p in self.splittings.values())
+            quot = _quotient(self.m, bourne_congruence(self.m, sub))[0]
+            part = sub_module(sub)[0]
+            k_rep = is_k_projective(quot, self.m, limits)
+            i_rep = is_i_injective(part, self.m, limits)
+            self.quotients_k_proj = self.quotients_k_proj and k_rep.holds
+            self.subtractive_i_inj = self.subtractive_i_inj and i_rep.holds
+            self.splittings[sub.members] = (_identity_lift(i_rep, sub.members, part.order),
+                                            _identity_lift(k_rep, sub.members, quot.order))
+        self.left_split = all(r is not None for r, _ in self.splittings.values())
+        self.right_split = all(h is not None for _, h in self.splittings.values())
         self.k_chain = _longest_chain([sub.members for sub in self.subtractive])
         self.summand_chain = self.poset.max_chain_length
 
@@ -387,8 +393,8 @@ def _splitting_witness(f: InstanceFacts) -> str:
     bad = next((m for m in f.splittings if not f.poset.is_summand(m)), None)
     if bad is None:
         return ""
-    prof = f.splittings[bad]
-    left = list(prof.left.image_of) if prof.left is not None else None
+    retraction = f.splittings[bad][0]
+    left = list(retraction) if retraction is not None else None
     return (f"subtractive {_fmt_mask(bad)} is not a summand "
             f"(summands: {[_fmt_mask(x) for x in f.poset.masks()]}); "
             f"retraction for its sequence: {left}")
@@ -445,8 +451,8 @@ def _isscomm_items(f: InstanceFacts) -> tuple[dict, dict]:
     witnesses = {
         1: _splitting_witness(f),
         5: "; ".join(
-            f"kernel {_fmt_mask(m)}: retraction {list(p.left.image_of) if p.left else None}"
-            for m, p in sorted(f.splittings.items())),
+            f"kernel {_fmt_mask(m)}: retraction {list(r) if r is not None else None}"
+            for m, (r, _) in sorted(f.splittings.items())),
         10: f"ideal parts {f.ssprofile.ideal_parts}",
     }
     return items, witnesses
@@ -629,7 +635,7 @@ def einj_witness_construction_ok(s: SemiringTable,
         part_mod, to_parent = sub_module(parts[0])
         back = {p: i for i, p in enumerate(to_parent)}
         proj_onto = tuple(back[dec.projections[0].image_of[x]] for x in range(m.order))
-        for _, j in family:
+        for j in family:
             for h in enumerate_homs(m, j, limits):
                 g = tuple(h.image_of[p] for p in to_parent)
                 j0 = h.image_of[s.one]
@@ -737,7 +743,14 @@ def fixture_expectation_records(limits: Limits = DEFAULT_LIMITS) -> list[ClaimRe
 
     out: list[ClaimRecord] = []
 
-    def expect(instance: str, claim: str, expected, computed, witness: str = "") -> None:
+    def expect(instance: str, claim: str, expected, computed, witness: str = "",
+               truncated: str = "") -> None:
+        """``truncated`` names the search that hit a limit, if one did."""
+        if truncated:
+            out.append(ClaimRecord(
+                instance=instance, claim_id=claim, verdict="unknown",
+                witness=f"{truncated} truncated", exhaustive=False))
+            return
         ok = expected == computed
         out.append(ClaimRecord(
             instance=instance, claim_id=claim,
@@ -762,16 +775,19 @@ def fixture_expectation_records(limits: Limits = DEFAULT_LIMITS) -> list[ClaimRe
            f"while the ideal is {'' if idempotent else 'not '}additively idempotent")
     for p in (3, 5):
         s = catalog.make_B(p + 1, p)
-        m = s.left_module()
-        ideals = [sorted(bits(t.members)) for t in enumerate_subsemimodules(m, limits)]
+        subs = enumerate_subsemimodules(s.left_module(), limits)
         expect(f"B({p + 1},{p})", "ex-exb32.ideal-list",
-               [[0], [0, p], list(range(p + 1))], ideals)
+               [[0], [0, p], list(range(p + 1))], [sorted(bits(t.members)) for t in subs],
+               truncated="" if subs.exhaustive else "ideal enumeration")
     for name, lat in (("E(M3)", catalog.diamond_m3()), ("E(N5)", catalog.pentagon_n5())):
         rows = {}
+        truncated = []  # the variants whose C2/C2' search hit a limit
         for variant, top in (("all-endos", False), ("top-preserving", True)):
             e = catalog.make_end_semiring(lat, top_preserving=top)
             sp = semiring_simplicity_profile(e)
             cp = condition_profile(e, limits)
+            if not cp.exhaustive:
+                truncated.append(variant)
             rows[variant] = (sp.congruence_simple, not sp.ideal_simple,
                              cp.c2prime, not cp.c2)
         satisfying = [variant for variant, row in rows.items() if all(row)]
@@ -780,7 +796,9 @@ def fixture_expectation_records(limits: Limits = DEFAULT_LIMITS) -> list[ClaimRe
                f"computed all-endos={rows['all-endos']}, "
                f"top-preserving={rows['top-preserving']}; "
                + (f"all four hold for {', '.join(satisfying)}" if satisfying
-                  else "no variant satisfies all four"))
+                  else "no variant satisfies all four"),
+               truncated=("C2/C2' subtractive ideal enumeration of " + ", ".join(truncated))
+               if truncated else "")
     return out
 
 

@@ -1,6 +1,5 @@
 """Linear maps between finite semimodules: Hom-set enumeration, kernels,
-normality classification, sequence exactness, splitting, and isomorphism
-search."""
+normality classification, sequence exactness and isomorphism search."""
 
 from __future__ import annotations
 
@@ -21,8 +20,6 @@ from .core import (
     _linear_map,
     _quotient,
     bourne_congruence,
-    identity_map,
-    inclusion_map,
     linear_map_violations,
     zero_map,
     zero_module,
@@ -435,55 +432,3 @@ def short_exact_equivalences(seq: SequenceSpec) -> dict[str, bool]:
                 witness = _linear_map(quot, n, induced)
                 iso = witness.is_injective() and witness.is_surjective()
     return {"exact": exact, "iso": iso, "explicit": explicit}
-
-
-def canonical_short_exact(m: SemimoduleTable, sub: SubStructure) -> SequenceSpec:
-    """0 -> K -> M -> M/K -> 0 for a subtractive K; exact by construction."""
-    if not sub.is_subtractive():
-        raise NotComposable("canonical short exact sequences need a subtractive kernel")
-    _, incl = inclusion_map(sub)
-    quot, proj = _quotient(m, bourne_congruence(m, sub))
-    return zero_flanked(incl.source, incl, m, proj, quot)
-
-
-# ---------------------------------------------------------------------------
-# splitting
-
-
-@dataclass(frozen=True)
-class SplittingProfile:
-    """Retraction/section witnesses for a short exact sequence.
-
-    ``left``/``right`` hold a witness map or None; the ``*_exhaustive``
-    markers distinguish a definite absence from a truncated search.
-    """
-
-    left: LinearMap | None
-    right: LinearMap | None
-    left_exhaustive: bool
-    right_exhaustive: bool
-
-    @property
-    def left_splits(self) -> bool | None:
-        if self.left is not None:
-            return True
-        return False if self.left_exhaustive else None
-
-    @property
-    def right_splits(self) -> bool | None:
-        if self.right is not None:
-            return True
-        return False if self.right_exhaustive else None
-
-
-def splitting_profile(seq: SequenceSpec, limits: Limits = DEFAULT_LIMITS) -> SplittingProfile:
-    l, m, n = seq.modules[1], seq.modules[2], seq.modules[3]
-    f, g = seq.maps[1], seq.maps[2]
-    id_l, id_n = identity_map(l), identity_map(n)
-    retractions = enumerate_homs(m, l, limits)
-    left = next((h for h in retractions if h.compose(f) == id_l), None)
-    sections = enumerate_homs(n, m, limits)
-    right = next((h for h in sections if g.compose(h) == id_n), None)
-    return SplittingProfile(left=left, right=right,
-                            left_exhaustive=retractions.exhaustive,
-                            right_exhaustive=sections.exhaustive)

@@ -20,6 +20,14 @@ the zero class of its Bourne congruence, and h: M -> J kills K iff it is
 constant on Bourne classes.  So exactness at C is the lifting verdict for
 K, and exactness at B is whether push is k-normal on B.
 
+The same pass decides whether 0 -> K -> M -> M/K -> 0 splits.  It
+right-splits iff some h: M/K -> M has g.h = id, that is iff the test map
+id of M/K lifts at kernel K in the k-projectivity pass of P = M/K.  It
+left-splits iff some r: M -> K has r.f = id, that is iff the test map id
+of K extends at kernel K in the i-injectivity pass of J = K.  Candidates
+come in image order and each test map keeps its first lift, so these
+witnesses are the first section and the first retraction.
+
 A direct sum A + B is a biproduct: Hom(A + B, X) is Hom(A, X) x Hom(B, X)
 and Hom(X, A + B) is Hom(X, A) x Hom(X, B), as commutative monoids.  So
 every lifting or extension problem on A + B splits into one per summand,
@@ -44,13 +52,13 @@ from .core import (
     _is_k_normal,
     _quotient,
     bourne_congruence,
-    enumerate_congruences,
     enumerate_subsemimodules,
     mask_of,
     sub_module,
 )
 from .errors import LimitExceeded
 from .homs import _pointwise_sums, are_isomorphic, enumerate_homs
+from .semisimple import module_test_family
 
 
 # ---------------------------------------------------------------------------
@@ -58,28 +66,16 @@ from .homs import _pointwise_sums, are_isomorphic, enumerate_homs
 
 
 def bounded_family(s: SemiringTable,
-                   limits: Limits = DEFAULT_LIMITS) -> list[tuple[str, SemimoduleTable]]:
-    """The test family of s: its left module S, then every subsemimodule of
-    S, then every quotient of S by a module congruence, keeping the first of
-    each isomorphism class (the deciders are iso-invariant).
-
-    Labels are ``S``, ``sub<members mask>`` and ``quot<class map>``.  Raises
-    :class:`LimitExceeded` if either enumeration is truncated.
-    """
-    m = s.left_module()
-    raw: list[tuple[str, SemimoduleTable]] = [("S", m)]
-    subs = enumerate_subsemimodules(m, limits)
-    cons = enumerate_congruences(m, limits)
-    if not subs.exhaustive or not cons.exhaustive:
-        raise LimitExceeded("family enumeration truncated")
-    for sub in subs:
-        raw.append((f"sub{sub.members:#x}", sub_module(sub)[0]))
-    for rho in cons:
-        raw.append((f"quot{''.join(map(str, rho.class_of))}", _quotient(m, rho)[0]))
-    kept: list[tuple[str, SemimoduleTable]] = []
-    for label, mod in raw:
-        if not any(are_isomorphic(mod, seen) for _, seen in kept):
-            kept.append((label, mod))
+                   limits: Limits = DEFAULT_LIMITS) -> list[SemimoduleTable]:
+    """The test family of s: :func:`semisimple.module_test_family` of its
+    left module (S, every subsemimodule, every quotient by a module
+    congruence), keeping the first of each isomorphism class (the deciders
+    are iso-invariant).  Raises :class:`LimitExceeded` if either
+    enumeration is truncated."""
+    kept: list[SemimoduleTable] = []
+    for mod in module_test_family(s.left_module(), limits):
+        if not any(are_isomorphic(mod, seen) for seen in kept):
+            kept.append(mod)
     return kept
 
 

@@ -105,7 +105,8 @@ class SimplicityReport:
 
 
 def module_test_family(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS) -> list[SemimoduleTable]:
-    """All quotients of m, all subsemimodules of m (promoted), and m itself."""
+    """m itself, then every subsemimodule of m (promoted), then every
+    quotient of m by a congruence, each in enumeration order."""
     family = [m]
     subs = enumerate_subsemimodules(m, limits)
     if not subs.exhaustive:
@@ -266,10 +267,6 @@ class ConditionProfile:
     exhaustive: bool
 
 
-def subtractive_subsemimodules(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS):
-    return enumerate_subsemimodules(m, limits, subtractive_only=True)
-
-
 def _maximal_proper(masks: list[int], top: int) -> list[int]:
     proper = [a for a in masks if a != top]
     return [a for a in proper
@@ -293,7 +290,7 @@ def condition_profile_for_module(n: SemimoduleTable,
     subtractive in n, and then x is in L.  So one enumeration serves every
     M.
     """
-    subt = subtractive_subsemimodules(n, limits)
+    subt = enumerate_subsemimodules(n, limits, subtractive_only=True)
     poset = summand_poset(n, limits)
     c1, c1_w = True, None
     for sub in subt:
@@ -352,7 +349,7 @@ def comsum_check(s: SemiringTable, limits: Limits = DEFAULT_LIMITS) -> list[Coms
     poset = summand_poset(m, limits)
     zero_bit = 1 << m.zero
     out = []
-    for sub in subtractive_subsemimodules(m, limits):
+    for sub in enumerate_subsemimodules(m, limits, subtractive_only=True):
         meets = tuple(p for p in parts if (p & sub.members) != zero_bit)
         seed = 0
         for p in meets:

@@ -3,7 +3,8 @@
 Every route here works from the definitions: substructures from all 2^n
 subsets, congruences from all set partitions, the Bourne relation from its
 defining equation closed transitively, isomorphism from all bijections,
-homs from all n^m maps and the exactness of Hom sequences from those homs.
+homs from all n^m maps, and from those homs the exactness of Hom sequences
+and the splittings of 0 -> K -> M -> M/K -> 0.
 The one route that walks neither, a certificate of semiring
 congruence-simplicity, closes one pair by a naive fixpoint and argues the
 rest from translations, so it also admits larger carriers.
@@ -340,6 +341,18 @@ def injective_sequence(j: Module, m: Module, ideal) -> tuple[bool, bool, bool, b
         homs(q, j), homs(m, j), homs(k, j),
         lambda f: tuple(f[proj[x]] for x in range(m.order)), lambda f: tuple(f[x] for x in incl),
         _pointwise_sum(j), (j.zero,) * k.order)
+
+
+def first_splittings(m: Module, ideal) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
+    """The first retraction r: M -> K with r.incl = id_K and the first
+    section h: M/K -> M with proj.h = id_{M/K} of 0 -> K -> M -> M/K -> 0,
+    in the order of :func:`homs`, each None when there is none."""
+    k, incl, q, proj = _canonical_sequence(m, ideal)
+    retraction = next((r for r in homs(m, k)
+                       if all(r[y] == x for x, y in enumerate(incl))), None)
+    section = next((h for h in homs(q, m)
+                    if all(proj[y] == c for c, y in enumerate(h))), None)
+    return retraction, section
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def test_criterion_3_bp1p_reproduction(p):
     subtractive = [sorted(bits(t.members))
                    for t in enumerate_subsemimodules(m, subtractive_only=True)]
     trivial_subtractive = subtractive == [[0], list(range(p + 1))]
-    family_e_proj = all(is_e_projective(mod, m).holds for _, mod in bounded_family(s))
+    family_e_proj = all(is_e_projective(mod, m).holds for mod in bounded_family(s))
     ss = semisimplicity_profile(s)
     not_ss = not ss.ideal_semisimple and not ss.congruence_semisimple
     ideal_list_matches = ideals == BP1P_IDEALS[p]

@@ -16,7 +16,7 @@ from finsemi.auditor import (
     lemma_suite,
 )
 from finsemi.catalog import make_B
-from finsemi.core import discrete_partition, validate_semiring
+from finsemi.core import Limits, discrete_partition, validate_semiring
 from finsemi.errors import AxiomViolations
 from finsemi.projinj import bounded_family
 
@@ -180,7 +180,8 @@ def test_fixture_expectation_witnesses_follow_the_computed_values(monkeypatch):
     monkeypatch.setattr(auditor, "semiring_simplicity_profile",
                         lambda s: SimpleNamespace(congruence_simple=True, ideal_simple=False))
     monkeypatch.setattr(auditor, "condition_profile",
-                        lambda s, limits: SimpleNamespace(c2prime=True, c2=False))
+                        lambda s, limits: SimpleNamespace(c2prime=True, c2=False,
+                                                          exhaustive=True))
     by_id = {(r.instance, r.claim_id): r for r in fixture_expectation_records()}
     b31 = by_id[("B(3,1)", "ex-b31.quotient-iso-ideal")]
     assert b31.verdict == "discrepancy"
@@ -190,6 +191,21 @@ def test_fixture_expectation_witnesses_follow_the_computed_values(monkeypatch):
         rec = by_id[(name, "rem-indp.5")]
         assert rec.verdict == "holds"
         assert rec.witness.endswith("all four hold for all-endos, top-preserving")
+
+
+def test_truncated_fixture_expectations_are_unknown():
+    # two results cut the ideal list of B(4,3) to [[0], [0, 1, 2, 3]] and the
+    # C2/C2' profiles of E(M3) and E(N5) to a prefix of their lattices
+    by_id = {(r.instance, r.claim_id): r for r in fixture_expectation_records(Limits(max_results=2))}
+    for key, search in ((("B(4,3)", "ex-exb32.ideal-list"), "ideal enumeration"),
+                        (("B(6,5)", "ex-exb32.ideal-list"), "ideal enumeration"),
+                        (("E(M3)", "rem-indp.5"), "C2/C2' subtractive ideal enumeration"),
+                        (("E(N5)", "rem-indp.5"), "C2/C2' subtractive ideal enumeration")):
+        rec = by_id[key]
+        assert (rec.verdict, rec.exhaustive) == ("unknown", False), key
+        assert rec.witness.startswith(search) and rec.witness.endswith("truncated"), key
+    # the B(3,1) quotient is built without a bounded search
+    assert by_id[("B(3,1)", "ex-b31.quotient-iso-ideal")].exhaustive
 
 
 def test_audit_product_all_items_hold(BxB):

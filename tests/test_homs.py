@@ -13,7 +13,6 @@ from finsemi.core import (
     identity_map,
     inclusion_map,
     linear_map_violations,
-    product_module,
     quotient_by_congruence,
     zero_map,
     zero_module,
@@ -21,7 +20,6 @@ from finsemi.core import (
 from finsemi.errors import AxiomViolations, NotComposable
 from finsemi.homs import (
     are_isomorphic,
-    canonical_short_exact,
     classify_sequence,
     enumerate_homs,
     find_isomorphism,
@@ -29,9 +27,9 @@ from finsemi.homs import (
     kernel_image,
     normality_profile,
     short_exact_equivalences,
-    splitting_profile,
     zero_flanked,
 )
+from finsemi.projinj import is_i_injective, is_k_projective
 
 
 def _brute_homs(src, tgt):
@@ -170,7 +168,9 @@ def test_injective_implies_k_normal_surjective_implies_i_normal(B31, B43):
 
 def test_canonical_sequence_is_exact(B31):
     m, ideal = _ideal(B31)
-    seq = canonical_short_exact(m, ideal)
+    part, incl = inclusion_map(ideal)
+    quot, proj = quotient_by_congruence(m, bourne_congruence(m, ideal))
+    seq = zero_flanked(part, incl, m, proj, quot)
     assert all(j.exact for j in classify_sequence(seq))
 
 
@@ -239,21 +239,20 @@ def test_mismatched_endpoints_rejected(B31, B):
 
 
 def test_b31_sequence_left_splits_but_not_right(B31):
+    # 0 -> K -> M -> M/K -> 0 left-splits iff id_K extends along the
+    # inclusion, and right-splits iff id_{M/K} lifts through the projection
     m, ideal = _ideal(B31)
-    prof = splitting_profile(canonical_short_exact(m, ideal))
-    assert prof.left is not None and prof.left_splits
-    assert prof.left.image_of == (0, 1, 1)  # x -> x * 2 in promoted coordinates
-    assert prof.right is None and prof.right_splits is False
-    assert prof.right_exhaustive
+    part, _ = inclusion_map(ideal)
+    quot, _ = quotient_by_congruence(m, bourne_congruence(m, ideal))
 
+    def identity_lift(report, order):
+        (lift,) = [r.witness for r in report.records
+                   if r.kernel_mask == ideal.members and r.test_map == tuple(range(order))]
+        return lift
 
-def test_product_sequence_splits_both_ways(B31):
-    m = B31.left_module()
-    p = product_module(m, m)
-    incl = LinearMap(m, p, tuple(x * m.order + m.zero for x in range(m.order)))
-    proj = LinearMap(p, m, tuple(i % m.order for i in range(p.order)))
-    prof = splitting_profile(zero_flanked(m, incl, p, proj, m))
-    assert prof.left is not None and prof.right is not None
+    # x -> x * 2 in promoted coordinates
+    assert identity_lift(is_i_injective(part, m), part.order) == (0, 1, 1)
+    assert identity_lift(is_k_projective(quot, m), quot.order) is None
 
 
 # ---------------------------------------------------------------------------

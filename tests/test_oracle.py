@@ -19,7 +19,7 @@ from itertools import combinations, permutations
 import pytest
 
 import oracle
-from finsemi.auditor import enumerate_semirings
+from finsemi.auditor import InstanceFacts, enumerate_semirings
 from finsemi.catalog import (
     boolean_semiring,
     chain_lattice,
@@ -31,6 +31,7 @@ from finsemi.catalog import (
     pentagon_n5,
 )
 from finsemi.core import (
+    DEFAULT_LIMITS,
     SubStructure,
     bits,
     bourne_congruence,
@@ -360,7 +361,7 @@ def test_two_generator_subsemimodules_of_squares():
 
 def _families():
     for name, s in _corpus():
-        yield name, s, [mod for _, mod in bounded_family(s)]
+        yield name, s, bounded_family(s)
 
 
 def test_hom_sets_of_small_modules():
@@ -401,3 +402,20 @@ def test_deciders_against_hom_sequences(decider, lifting, route):
             assert lifting(mod, m).holds == all(r[3] for r in expected), name
             failed |= {i for r in expected for i in (2, 3) if not r[i]}
     assert failed == {2, 3}  # exactness fails at B somewhere and at C somewhere
+
+
+def test_splittings_against_naive_sequences():
+    # the engine reads each splitting off the lifting pass: the first lift
+    # of the identity test map at kernel K
+    b = boolean_semiring()
+    fixtures = [("B(3,1)", make_B(3, 1)), ("B(3,2)", make_B(3, 2)), ("B(4,3)", make_B(4, 3)),
+                ("B(6,5)", make_B(6, 5)), ("BxB", make_product([b, b]))]
+    shapes = set()
+    for name, s in _corpus() + fixtures:
+        naive = oracle.left_module(s)
+        expected = {sum(1 << x for x in k): oracle.first_splittings(naive, k)
+                    for k in oracle.submodules(naive, subtractive=True)}
+        assert InstanceFacts(s, DEFAULT_LIMITS, "reduced").splittings == expected, name
+        shapes |= {(r is not None, h is not None) for r, h in expected.values()}
+    # split both ways, left only (as in B(3,1)) and neither
+    assert {(True, True), (True, False), (False, False)} <= shapes
