@@ -23,12 +23,12 @@ from .core import (
     SubStructure,
     Table,
     _quotient,
+    _semiring_table,
     bits,
     bourne_congruence,
     enumerate_congruences,
     enumerate_subsemimodules,
     sub_module,
-    validate_semiring,
 )
 from .errors import LimitExceeded
 from .homs import (
@@ -101,99 +101,89 @@ def instance_digest(s: SemiringTable) -> str:
     return hashlib.sha256(payload).hexdigest()[:10]
 
 
-def _commutative_monoid_tables(n: int) -> list[Table]:
-    """All commutative monoid tables on 0..n-1 with identity 0."""
-    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
-    out: list[Table] = []
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        table[0][i] = i
-        table[i][0] = i
-
-    def assoc_ok() -> bool:
-        for a in range(n):
-            for b in range(n):
-                ab = table[a][b]
-                for c in range(n):
-                    if table[ab][c] != table[a][table[b][c]]:
-                        return False
-        return True
-
-    def fill(k: int) -> None:
-        if k == len(cells):
-            if assoc_ok():
-                out.append(tuple(tuple(row) for row in table))
-            return
-        i, j = cells[k]
-        for v in range(n):
-            table[i][j] = v
-            table[j][i] = v
-            fill(k + 1)
-
-    fill(0)
-    return out
-
-
 def enumerate_semirings(order: int, commutative_only: bool = False,
                         limits: Limits = DEFAULT_LIMITS) -> Enumeration:
     """All semirings of the given order up to isomorphism, zero at index 0
     and one at index 1, in lexicographic (add, mul) order.
 
-    Built by backtracking over multiplication cells on top of every
-    commutative monoid, with canonical-form rejection of duplicates.
+    One backtracking search fills the open cells of both tables: first the
+    addition cells, symmetrically, then the multiplication cells outside the
+    fixed rows and columns of 0 and 1, mirrored with ``commutative_only``.
+    After each assignment the branch is cut if an instance of additive or
+    multiplicative associativity or of either distributive law fails among
+    those whose cells are all set.  So every leaf satisfies every axiom and
+    is built unchecked; it is kept when it is its own canonical form.  Each
+    search node is one step of ``limits.max_steps``.
     """
     if order < 2:
         return Enumeration(items=(), exhaustive=True)
+    rng = range(order)
+    # None marks an open cell, so an open cell read as an index raises
+    add: list[list[int | None]] = [[None] * order for _ in rng]
+    mul: list[list[int | None]] = [[None] * order for _ in rng]
+    for x in rng:
+        add[0][x] = add[x][0] = x
+        mul[0][x] = mul[x][0] = 0
+    for x in range(1, order):
+        mul[1][x] = mul[x][1] = x
+    cells = [(add, i, j, True) for i in range(1, order) for j in range(i, order)]
+    cells += [(mul, i, j, commutative_only) for i in range(2, order)
+              for j in range(2, order) if not commutative_only or i <= j]
+
+    def consistent() -> bool:
+        for a in rng:
+            add_a, mul_a = add[a], mul[a]
+            for b in rng:
+                ab, mab = add_a[b], mul_a[b]
+                add_b, mul_b = add[b], mul[b]
+                for c in rng:
+                    bc, mbc, mac = add_b[c], mul_b[c], mul_a[c]
+                    if ab is not None and bc is not None:
+                        x, y = add[ab][c], add_a[bc]
+                        if x is not None and y is not None and x != y:
+                            return False
+                    if mab is not None and mbc is not None:
+                        x, y = mul[mab][c], mul_a[mbc]
+                        if x is not None and y is not None and x != y:
+                            return False
+                    if mac is not None:
+                        if bc is not None and mab is not None:
+                            x, y = mul_a[bc], add[mab][mac]
+                            if x is not None and y is not None and x != y:
+                                return False
+                        if ab is not None and mbc is not None:
+                            x, y = mul[ab][c], add[mac][mbc]
+                            if x is not None and y is not None and x != y:
+                                return False
+        return True
+
     found: list[SemiringTable] = []
     steps = 0
-    exhaustive = True
-    free = [(i, j) for i in range(2, order) for j in range(2, order)
-            if not commutative_only or i <= j]
-    for add in _commutative_monoid_tables(order):
-        mul = [[0] * order for _ in range(order)]
-        for i in range(order):
-            mul[1][i] = i
-            mul[i][1] = i
 
-        def try_tables() -> SemiringTable | None:
-            mt = tuple(tuple(row) for row in mul)
-            for a in range(order):
-                for b in range(order):
-                    ab = mt[a][b]
-                    for c in range(order):
-                        if mt[ab][c] != mt[a][mt[b][c]]:
-                            return None
-                        if mt[a][add[b][c]] != add[mt[a][b]][mt[a][c]]:
-                            return None
-                        if mt[add[a][b]][c] != add[mt[a][c]][mt[b][c]]:
-                            return None
-            return validate_semiring(add, mt, zero=0, one=1)
+    def search(k: int) -> bool:
+        """Extend the tables from cell k on; False once a limit is hit."""
+        nonlocal steps
+        steps += 1
+        if steps > limits.max_steps or len(found) >= limits.max_results:
+            return False
+        if k == len(cells):
+            s = _semiring_table(tuple(map(tuple, add)), tuple(map(tuple, mul)), 0, 1)
+            if (s.add, s.mul) == canonical_form(s):
+                found.append(s)
+            return True
+        table, i, j, mirror = cells[k]
+        for v in rng:
+            table[i][j] = v
+            if mirror:
+                table[j][i] = v
+            if consistent() and not search(k + 1):
+                return False
+        table[i][j] = None
+        if mirror:
+            table[j][i] = None
+        return True
 
-        def fill(k: int) -> None:
-            nonlocal steps, exhaustive
-            if not exhaustive:
-                return
-            steps += 1
-            if steps > limits.max_steps or len(found) >= limits.max_results:
-                exhaustive = False
-                return
-            if k == len(free):
-                got = try_tables()
-                if got is not None and (got.add, got.mul) == canonical_form(got):
-                    found.append(got)
-                return
-            i, j = free[k]
-            for v in range(order):
-                mul[i][j] = v
-                if commutative_only:
-                    mul[j][i] = v
-                fill(k + 1)
-
-        fill(0)
-        if not exhaustive:
-            break
-    if commutative_only:
-        found = [s for s in found if s.commutative]
+    exhaustive = search(0)
     found.sort(key=lambda s: (s.add, s.mul))
     return Enumeration(items=tuple(found), exhaustive=exhaustive)
 

@@ -76,9 +76,9 @@ DEFAULT_LIMITS = Limits()
 class Enumeration:
     """A deterministic list of results plus an ``exhaustive`` marker.
 
-    ``exhaustive=False`` means a limit was hit: the items are a correct
-    prefix of the full answer but "only"-style conclusions must not be
-    drawn from them.
+    ``exhaustive=False`` means a limit was hit: each item is correct and
+    the items are a subset of the full answer, but "only"-style conclusions
+    must not be drawn from them.
     """
 
     items: tuple

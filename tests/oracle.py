@@ -4,7 +4,8 @@ Every route here works from the definitions: substructures from all 2^n
 subsets, congruences from all set partitions, the Bourne relation from its
 defining equation closed transitively, isomorphism from all bijections,
 homs from all n^m maps, and from those homs the exactness of Hom sequences
-and the splittings of 0 -> K -> M -> M/K -> 0.
+and the splittings of 0 -> K -> M -> M/K -> 0; small semirings up to
+isomorphism from all tables and all relabellings.
 The one route that walks neither, a certificate of semiring
 congruence-simplicity, closes one pair by a naive fixpoint and argues the
 rest from translations, so it also admits larger carriers.
@@ -412,3 +413,68 @@ def idempotent_c2_c2prime(m: Module) -> tuple[bool, bool]:
             c2 = c2 and is_ideal_simple(q)
             c2p = c2p and is_congruence_simple(q)
     return c2, c2p
+
+
+# ---------------------------------------------------------------------------
+# small semirings up to isomorphism
+
+
+def _is_semiring(add, mul) -> bool:
+    """Every semiring axiom, with zero 0 and one 1, over all elements."""
+    n = range(len(add))
+    return (all(add[0][x] == add[x][0] == x and mul[1][x] == mul[x][1] == x
+                and mul[0][x] == mul[x][0] == 0 for x in n)
+            and all(add[x][y] == add[y][x] for x in n for y in n)
+            and all(add[add[x][y]][z] == add[x][add[y][z]]
+                    and mul[mul[x][y]][z] == mul[x][mul[y][z]]
+                    and mul[x][add[y][z]] == add[mul[x][y]][mul[x][z]]
+                    and mul[add[x][y]][z] == add[mul[x][z]][mul[y][z]]
+                    for x in n for y in n for z in n))
+
+
+def semirings(n: int, commutative: bool = False) -> list[tuple[tuple, tuple]]:
+    """One (add, mul) pair per isomorphism class of semirings on 0..n-1 with
+    zero 0 and one 1 (commutative ones only if asked), in ascending order.
+
+    Every symmetric addition table with 0 as identity that is associative,
+    then every multiplication table with 0 absorbing and 1 as identity,
+    is checked against all the axioms.  The pairs are walked in ascending
+    order, and each one not yet seen is kept and its images under every
+    relabelling fixing 0 and 1 are marked as seen, so the least member of
+    each class is kept.
+    """
+    if n < 2:
+        return []
+    rng = range(n)
+    upper = [(x, y) for x in range(1, n) for y in range(x, n)]
+    adds = []
+    for values in product(rng, repeat=len(upper)):
+        add = [[x if y == 0 else y if x == 0 else 0 for y in rng] for x in rng]
+        for (x, y), v in zip(upper, values):
+            add[x][y] = add[y][x] = v
+        if all(add[add[x][y]][z] == add[x][add[y][z]] for x in rng for y in rng for z in rng):
+            adds.append(tuple(map(tuple, add)))
+    inner = [(x, y) for x in range(2, n) for y in range(2, n)]
+    pairs = []
+    for add in adds:
+        for values in product(rng, repeat=len(inner)):
+            mul = [[0 if 0 in (x, y) else y if x == 1 else x if y == 1 else 0 for y in rng]
+                   for x in rng]
+            for (x, y), v in zip(inner, values):
+                mul[x][y] = v
+            if (_is_semiring(add, mul)
+                    and (not commutative or all(mul[x][y] == mul[y][x] for x in rng for y in rng))):
+                pairs.append((add, tuple(map(tuple, mul))))
+    kept, seen = [], set()
+    for add, mul in sorted(pairs):
+        if (add, mul) in seen:
+            continue
+        kept.append((add, mul))
+        for images in permutations(range(2, n)):
+            pi = (0, 1) + images
+            inv = [0] * n
+            for old, new in enumerate(pi):
+                inv[new] = old
+            seen.add((tuple(tuple(pi[add[inv[x]][inv[y]]] for y in rng) for x in rng),
+                      tuple(tuple(pi[mul[inv[x]][inv[y]]] for y in rng) for x in rng)))
+    return kept

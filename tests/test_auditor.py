@@ -16,9 +16,10 @@ from finsemi.auditor import (
     lemma_suite,
 )
 from finsemi.catalog import make_B
-from finsemi.core import Limits, discrete_partition, validate_semiring
-from finsemi.errors import AxiomViolations
+from finsemi.core import Limits, discrete_partition, semiring_violations, validate_semiring
+from finsemi.errors import AxiomViolations, LimitExceeded
 from finsemi.projinj import bounded_family
+from finsemi.semisimple import semiring_simplicity_profile
 
 
 def test_order_two_stream(B, Z2):
@@ -43,6 +44,47 @@ def test_order_three_counts(B31, B32):
 def test_order_four_counts():
     assert len(enumerate_semirings(4, commutative_only=True)) == 36
     assert len(enumerate_semirings(4)) == 40
+
+
+def test_order_five_counts():
+    """No independent route confirms the order-5 counts 295 and 228.  What
+    backs them: the same search agrees with the naive all-tables route of
+    ``tests/oracle.py`` at orders 2-4 in both modes
+    (``test_semiring_enumeration_against_all_tables``); every item here
+    satisfies the axioms and is its own canonical form, so no two are
+    isomorphic; the commutative-only search, which mirrors each product
+    cell and so walks another tree, finds exactly the commutative members
+    of the full list; and the one congruence-simple item is GF(5), as
+    Zumbrägel's classification of finite congruence-simple semirings with
+    zero (J. Algebra Appl. 7, 2008) allows at this order."""
+    full = enumerate_semirings(5)
+    commutative = enumerate_semirings(5, commutative_only=True)
+    assert full.exhaustive and commutative.exhaustive
+    assert (len(full), len(commutative)) == (295, 228)
+    for s in full:
+        assert not semiring_violations(s.add, s.mul, s.zero, s.one)
+        assert (s.add, s.mul) == canonical_form(s)
+    assert [(s.add, s.mul) for s in commutative] == [(s.add, s.mul) for s in full
+                                                      if s.commutative]
+    simple = [s for s in full if semiring_simplicity_profile(s).congruence_simple]
+    assert len(simple) == 1
+    (gf5,) = simple
+    assert all(0 in row for row in gf5.add)  # the addition is a group
+
+
+@pytest.mark.parametrize("limits", [Limits(max_steps=100), Limits(max_results=3)],
+                         ids=["max_steps", "max_results"])
+def test_truncated_enumeration_is_a_correct_subset(limits):
+    stream = enumerate_semirings(4, limits=limits)
+    assert not stream.exhaustive
+    forms = [(s.add, s.mul) for s in stream]
+    assert forms and len(set(forms)) == len(forms)
+    assert set(forms) <= {(s.add, s.mul) for s in enumerate_semirings(4)}
+    for s in stream:
+        assert not semiring_violations(s.add, s.mul, s.zero, s.one)
+        assert (s.add, s.mul) == canonical_form(s)
+    with pytest.raises(LimitExceeded):
+        audit_corpus(order_bound=4, limits=limits)
 
 
 def test_trivial_orders_are_empty():

@@ -10,8 +10,9 @@ witnesses, on every small semiring, the congruence lattices and
 principal congruences of small modules and semirings, the
 subsemimodule lattices, generated subsemimodules and hom sets of small
 modules, the four projectivity and injectivity deciders against naive Hom
-sequences, and the congruence-simplicity of ``E(M3)`` and ``E(N5)`` above the
-brute-force cap, through the oracle's translation certificate.
+sequences, the congruence-simplicity of ``E(M3)`` and ``E(N5)`` above the
+brute-force cap, through the oracle's translation certificate, and the list
+of semirings of order at most 4 up to isomorphism.
 """
 
 from itertools import combinations, permutations
@@ -419,3 +420,12 @@ def test_splittings_against_naive_sequences():
         shapes |= {(r is not None, h is not None) for r, h in expected.values()}
     # split both ways, left only (as in B(3,1)) and neither
     assert {(True, True), (True, False), (False, False)} <= shapes
+
+
+@pytest.mark.parametrize("commutative", [False, True], ids=["all", "commutative"])
+def test_semiring_enumeration_against_all_tables(commutative):
+    # the engine prunes one cell search by the axioms and dedups by canonical
+    # form; the oracle checks every table and marks whole isomorphism classes
+    for order in (2, 3, 4):
+        engine = [(s.add, s.mul) for s in enumerate_semirings(order, commutative)]
+        assert engine == oracle.semirings(order, commutative), order
