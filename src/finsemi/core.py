@@ -9,8 +9,9 @@ Each value is checked once.  Input from outside the engine is checked where
 it enters: by :func:`validate_semiring`, :func:`validate_semimodule`,
 :func:`make_partition`, ``LinearMap(...)`` and :func:`quotient_by_congruence`.
 A value the engine derives from checked values (a composite of linear maps,
-a quotient by a congruence the engine built, the table of End(M)) is correct
-by construction and is built unchecked, through :func:`_linear_map`,
+a quotient by a congruence the engine built, the table of End(M), a table
+whose axiom instances the semiring enumeration checked cell by cell) is
+correct by construction and is built unchecked, through :func:`_linear_map`,
 :func:`_quotient` and :func:`_semiring_table`.
 """
 
