@@ -25,7 +25,7 @@ from .core import (
     _quotient,
     _semiring_table,
     bits,
-    bourne_congruence,
+    bourne_quotient,
     enumerate_congruences,
     enumerate_subsemimodules,
     sub_module,
@@ -113,7 +113,9 @@ def enumerate_semirings(order: int, commutative_only: bool = False,
     multiplicative associativity or of either distributive law fails among
     those whose cells are all set.  So every leaf satisfies every axiom and
     is built unchecked; it is kept when it is its own canonical form.  Each
-    search node is one step of ``limits.max_steps``.
+    search node is one step of ``limits.max_steps``.  The search stops, not
+    exhaustive, at that limit or when it finds a semiring beyond the first
+    ``limits.max_results``.
     """
     if order < 2:
         return Enumeration(items=(), exhaustive=True)
@@ -164,11 +166,13 @@ def enumerate_semirings(order: int, commutative_only: bool = False,
         """Extend the tables from cell k on; False once a limit is hit."""
         nonlocal steps
         steps += 1
-        if steps > limits.max_steps or len(found) >= limits.max_results:
+        if steps > limits.max_steps:
             return False
         if k == len(cells):
             s = _semiring_table(tuple(map(tuple, add)), tuple(map(tuple, mul)), 0, 1)
             if (s.add, s.mul) == canonical_form(s):
+                if len(found) >= limits.max_results:
+                    return False
                 found.append(s)
             return True
         table, i, j, mirror = cells[k]
@@ -280,7 +284,7 @@ class InstanceFacts:
         self.splittings: dict[int, tuple[tuple[int, ...] | None, tuple[int, ...] | None]] = {}
         self.quotients_k_proj = self.subtractive_i_inj = True
         for sub in self.subtractive:
-            quot = _quotient(self.m, bourne_congruence(self.m, sub))[0]
+            quot = bourne_quotient(self.m, sub)[0]
             part = sub_module(sub)[0]
             k_rep = is_k_projective(quot, self.m, limits)
             i_rep = is_i_injective(part, self.m, limits)
@@ -541,8 +545,7 @@ def lemma_suite(s: SemiringTable, limits: Limits = DEFAULT_LIMITS,
                 witness = f"{_fmt_mask(sub.members)}: {via_comp}/{via_pairs}/{via_cond3}"
         # d-iso (2): M = K + L direct implies M/K iso L
         for a, b in pair_sums:
-            quot, _ = _quotient(mod, bourne_congruence(
-                mod, SubStructure(mod, a.subtractive_closure_members)))
+            quot, _ = bourne_quotient(mod, SubStructure(mod, a.subtractive_closure_members))
             if not are_isomorphic(quot, sub_module(b)[0]):
                 diso_ok = False
         # lemint: subtractive N, mod = L + K direct, L <= N  =>  N = L + (K n N)
@@ -751,11 +754,10 @@ def fixture_expectation_records(limits: Limits = DEFAULT_LIMITS) -> list[ClaimRe
     b31 = catalog.make_B(3, 1)
     m31 = b31.left_module()
     i_sub = SubStructure(m31, 0b101)
-    rho = bourne_congruence(m31, i_sub)
-    quot, _ = _quotient(m31, rho)
+    quot, proj = bourne_quotient(m31, i_sub)
     imod = sub_module(i_sub)[0]
-    # quotient element c is class c of rho, written [its least member]
-    cls = [f"[{next(bits(mask))}]" for mask in rho.class_masks()]
+    # quotient element c is a Bourne class, written [its least member]
+    cls = [f"[{proj.image_of.index(c)}]" for c in range(quot.order)]
     nonzero = [f"{cls[c]}+{cls[c]}={cls[quot.add[c][c]]}"
                for c in range(quot.order) if c != quot.zero]
     idempotent = all(imod.add[x][x] == x for x in range(imod.order))

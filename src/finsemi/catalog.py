@@ -14,6 +14,7 @@ from .core import (
     Limits,
     SemiringTable,
     Table,
+    validate_semimodule,
     validate_semiring,
 )
 from .errors import (
@@ -24,6 +25,7 @@ from .errors import (
     ShapeError,
     Violation,
 )
+from .summands import end_semiring
 
 
 def make_B(n: int, i: int) -> SemiringTable:
@@ -244,40 +246,6 @@ def make_lattice_semiring(lat: LatticeSpec) -> SemiringTable:
     return validate_semiring(lat.join, lat.meet, zero=lat.bottom, one=lat.top)
 
 
-def _join_endomorphisms(lat: LatticeSpec, top_preserving: bool) -> list[tuple[int, ...]]:
-    """All maps preserving join and bottom (and top, when asked)."""
-    n = lat.order
-    join = lat.join
-    maps: list[tuple[int, ...]] = []
-    current = [0] * n
-
-    def backtrack(pos: int) -> None:
-        if pos == n:
-            f = tuple(current)
-            if f[lat.bottom] != lat.bottom:
-                return
-            if top_preserving and f[lat.top] != lat.top:
-                return
-            for a in range(n):
-                for b in range(a, n):
-                    if f[join[a][b]] != join[f[a]][f[b]]:
-                        return
-            maps.append(f)
-            return
-        for v in range(n):
-            current[pos] = v
-            # prune when the join of two already-assigned points is assigned
-            for x in range(pos + 1):
-                j = join[pos][x]
-                if j <= pos and current[j] != join[v][current[x]]:
-                    break
-            else:
-                backtrack(pos + 1)
-
-    backtrack(0)
-    return sorted(maps)
-
-
 def make_end_semiring(lat: LatticeSpec, top_preserving: bool = False,
                       limits: Limits = DEFAULT_LIMITS) -> SemiringTable:
     """Endomorphism semiring of the join monoid of ``lat``.
@@ -286,26 +254,25 @@ def make_end_semiring(lat: LatticeSpec, top_preserving: bool = False,
     ``(f * g)(x) = f(g(x))``.  By default the carrier is every map fixing
     the bottom and preserving joins; ``top_preserving`` restricts to maps
     fixing the top as well, with the zero map adjoined so the result still
-    has an absorbing zero.
+    has an absorbing zero.  Elements are the maps in image-tuple order.
+
+    The join monoid is a module over the Boolean semiring (0 sends every
+    element to the bottom, 1 fixes it), and its linear maps are exactly the
+    join maps fixing the bottom.  So the tables are those of
+    :func:`summands.end_semiring` of that module, restricted in the
+    top-preserving case.  Raises :class:`DegenerateStructure` on the
+    one-element lattice, whose only endomorphism is both zero and one.
     """
-    endos = _join_endomorphisms(lat, top_preserving)
-    if top_preserving:
-        zero_fn = tuple(lat.bottom for _ in range(lat.order))
-        if zero_fn not in endos:
-            endos = sorted(endos + [zero_fn])
-    if len(endos) > limits.max_carrier:
-        raise LimitExceeded(f"{len(endos)} endomorphisms exceed limit {limits.max_carrier}")
-    index = {f: i for i, f in enumerate(endos)}
-    join = lat.join
     n = lat.order
-    add = tuple(
-        tuple(index[tuple(join[f[x]][g[x]] for x in range(n))] for g in endos)
-        for f in endos
-    )
-    mul = tuple(
-        tuple(index[tuple(f[g[x]] for x in range(n))] for g in endos)
-        for f in endos
-    )
-    zero = index[tuple(lat.bottom for _ in range(n))]
-    one = index[tuple(range(n))]
-    return validate_semiring(add, mul, zero=zero, one=one)
+    act = ((lat.bottom,) * n, tuple(range(n)))
+    end = end_semiring(validate_semimodule(boolean_semiring(), lat.join, act, lat.bottom), limits)
+    if len(end.maps) > limits.max_carrier:
+        raise LimitExceeded(f"{len(end.maps)} endomorphisms exceed limit {limits.max_carrier}")
+    t = end.semiring
+    if not top_preserving:
+        return validate_semiring(t.add, t.mul, zero=t.zero, one=t.one)
+    keep = [i for i, f in enumerate(end.maps) if i == t.zero or f(lat.top) == lat.top]
+    pos = {i: k for k, i in enumerate(keep)}
+    add = [[pos[t.add[i][j]] for j in keep] for i in keep]
+    mul = [[pos[t.mul[i][j]] for j in keep] for i in keep]
+    return validate_semiring(add, mul, zero=pos[t.zero], one=pos[t.one])

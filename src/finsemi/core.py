@@ -13,6 +13,12 @@ a quotient by a congruence the engine built, the table of End(M), a table
 whose axiom instances the semiring enumeration checked cell by cell) is
 correct by construction and is built unchecked, through :func:`_linear_map`,
 :func:`_quotient` and :func:`_semiring_table`.
+
+Derived structure that depends on one module alone is stored on its table,
+outside the dataclass fields: its subtractive lattice (see
+:func:`enumerate_subsemimodules`) and each Bourne quotient M/K with its
+projection (see :func:`bourne_quotient`), built once and read by every
+caller.
 """
 
 from __future__ import annotations
@@ -280,6 +286,12 @@ class SemimoduleTable:
     def _subtractive_lattices(self) -> dict[Limits, Enumeration]:
         """The subtractive enumerations made so far, by their limits; not a
         dataclass field, so it is left out of eq, hash and repr."""
+        return {}
+
+    @cached_property
+    def _bourne_quotients(self) -> dict[int, tuple[SemimoduleTable, LinearMap]]:
+        """The Bourne quotients M/K built so far, with their projections, by
+        the mask of K; not a dataclass field, as above."""
         return {}
 
     def __repr__(self) -> str:
@@ -704,6 +716,18 @@ def _reach(add: Table, mask: int) -> list[int]:
     return out
 
 
+def bourne_quotient(m: SemimoduleTable, sub: SubStructure) -> tuple[SemimoduleTable, LinearMap]:
+    """M/K by the Bourne congruence of K = ``sub``, plus the canonical
+    projection.  Built once per table and K: the first call stores the pair
+    on ``m``, and later calls for the same members return that same pair."""
+    if sub.parent != m:
+        raise IncompatiblePartition("substructure belongs to a different module")
+    stored = m._bourne_quotients
+    if sub.members not in stored:
+        stored[sub.members] = _quotient(m, bourne_congruence(m, sub))
+    return stored[sub.members]
+
+
 def _is_k_normal(add: Table, image_of: Sequence[int], kernel_mask: int) -> bool:
     """Whether a map given by ``image_of`` on a carrier with addition ``add``
     is k-normal: f(x) = f(y) implies x + k = y + k' for some k, k' in the
@@ -871,8 +895,9 @@ def enumerate_subsemimodules(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS
     the search walks the lattice of subtractive subsemimodules directly and
     reaches exactly those.
 
-    Each tried extension is one step.  When ``max_steps`` or ``max_results``
-    is reached the items are the closed sets found so far, each a real
+    Each tried extension is one step.  When ``max_steps`` is reached, or a
+    closed set beyond the first ``max_results`` is found, the items are the
+    closed sets found so far (at most ``max_results``), each a real
     SubStructure (subtractive, with ``subtractive_only``), and
     ``exhaustive`` is False.
 
@@ -895,12 +920,16 @@ def enumerate_subsemimodules(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS
             if current >> x & 1:
                 continue
             steps += 1
-            if steps > limits.max_steps or len(seen) >= limits.max_results:
+            if steps > limits.max_steps:
                 exhaustive = False
                 queue.clear()
                 break
             nxt = close(m, 1 << x, current)
             if nxt not in seen:
+                if len(seen) >= limits.max_results:
+                    exhaustive = False
+                    queue.clear()
+                    break
                 seen.add(nxt)
                 queue.append(nxt)
     subs = tuple(SubStructure(m, mask) for mask in sorted(seen))
@@ -922,8 +951,9 @@ def enumerate_congruences(parent: Parent, limits: Limits = DEFAULT_LIMITS) -> En
     related, because the result is then the congruence itself.
 
     Each principal closure and each join is one step.  When ``max_steps``
-    or ``max_results`` is reached the items are the congruences found so
-    far, each a real congruence, and ``exhaustive`` is False.
+    is reached, or a congruence beyond the first ``max_results`` is found,
+    the items are the congruences found so far (at most ``max_results``),
+    each a real congruence, and ``exhaustive`` is False.
     """
     n = parent.order
     exhaustive = True
@@ -944,11 +974,14 @@ def enumerate_congruences(parent: Parent, limits: Limits = DEFAULT_LIMITS) -> En
             if rho[a] == rho[b]:
                 continue
             steps += 1
-            if steps > limits.max_steps or len(seen) >= limits.max_results:
+            if steps > limits.max_steps:
                 exhaustive = False
                 break
             bigger = _join(rho, cg)
             if bigger not in seen:
+                if len(seen) >= limits.max_results:
+                    exhaustive = False
+                    break
                 seen.add(bigger)
                 queue.append(bigger)
     ordered = tuple(CongruencePartition(parent, key) for key in sorted(seen))

@@ -18,13 +18,12 @@ from .core import (
     _closure_mask,
     _is_k_normal,
     _linear_map,
-    _quotient,
-    bourne_congruence,
+    bourne_quotient,
     linear_map_violations,
     zero_map,
     zero_module,
 )
-from .errors import NotComposable
+from .errors import LimitExceeded, NotComposable
 
 
 # ---------------------------------------------------------------------------
@@ -75,22 +74,6 @@ def _derivations(m: SemimoduleTable) -> tuple[tuple, ...]:
                         order.append(z)
                         frontier = True
     return tuple((x, how[x]) for x in order)
-
-
-def _replay(m: SemimoduleTable, target: SemimoduleTable, gen_images: tuple[int, ...]):
-    """Image array forced by the generator images (no consistency check)."""
-    img = [-1] * m.order
-    for x, rule in _derivations(m):
-        kind = rule[0]
-        if kind == "zero":
-            img[x] = target.zero
-        elif kind == "gen":
-            img[x] = gen_images[rule[1]]
-        elif kind == "add":
-            img[x] = target.add[img[rule[1]]][img[rule[2]]]
-        else:
-            img[x] = target.act[rule[1]][img[rule[2]]]
-    return img
 
 
 @lru_cache(maxsize=65536)
@@ -295,34 +278,23 @@ def normality_profile(f: LinearMap) -> NormalityProfile:
 
 
 def find_isomorphism(m: SemimoduleTable, n: SemimoduleTable) -> LinearMap | None:
-    """First S-linear bijection m -> n in canonical order, or None."""
+    """The first S-linear bijection m -> n in image-tuple order, or None.
+
+    Modules whose element signatures (:func:`_scalar_signature`) differ as
+    multisets are rejected without a search.  Otherwise the answer is the
+    first injective map of :func:`enumerate_homs`, which on equal orders is
+    a bijection.  Raises :class:`LimitExceeded` when that enumeration is
+    truncated and holds no bijection, since one may lie beyond the cut."""
     if m.base != n.base or m.order != n.order:
         return None
-    prof_m = [_scalar_signature(m, x) for x in range(m.order)]
-    prof_n = [_scalar_signature(n, x) for x in range(n.order)]
-    if sorted(prof_m) != sorted(prof_n):
+    if (sorted(_scalar_signature(m, x) for x in range(m.order))
+            != sorted(_scalar_signature(n, x) for x in range(n.order))):
         return None
-    gens = generating_set(m)
-    candidates = [
-        [v for v in range(n.order) if prof_n[v] == prof_m[g]] for g in gens
-    ]
-
-    def rec(i: int, partial: tuple[int, ...]):
-        if i == len(gens):
-            img = _replay(m, n, partial)
-            if len(set(img)) != n.order:
-                return None
-            img = tuple(img)
-            if linear_map_violations(m, n, img):
-                return None
-            return _linear_map(m, n, img)
-        for v in candidates[i]:
-            got = rec(i + 1, partial + (v,))
-            if got is not None:
-                return got
-        return None
-
-    return rec(0, ())
+    homs = enumerate_homs(m, n)
+    iso = next((f for f in homs if f.is_injective()), None)
+    if iso is None and not homs.exhaustive:
+        raise LimitExceeded("hom enumeration truncated before an isomorphism was found")
+    return iso
 
 
 def are_isomorphic(m: SemimoduleTable, n: SemimoduleTable) -> bool:
@@ -417,7 +389,7 @@ def short_exact_equivalences(seq: SequenceSpec) -> dict[str, bool]:
         # f corestricted to its image is then automatically an isomorphism
         img_sub = SubStructure(m, f.image_mask())
         if img_sub.is_subtractive():
-            quot, proj = _quotient(m, bourne_congruence(m, img_sub))
+            quot, proj = bourne_quotient(m, img_sub)
             induced = [-1] * quot.order
             ok = True
             for x in range(m.order):

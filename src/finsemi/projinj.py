@@ -50,8 +50,7 @@ from .core import (
     SemiringTable,
     Table,
     _is_k_normal,
-    _quotient,
-    bourne_congruence,
+    bourne_quotient,
     enumerate_subsemimodules,
     mask_of,
     sub_module,
@@ -192,7 +191,7 @@ def _exactness_report(kind: str, m: SemimoduleTable, middle: tuple[Monoid, tuple
 
 def _through_quotient(p: SemimoduleTable, m: SemimoduleTable, sub):
     """Lift maps p -> M/K through the projection M -> M/K."""
-    quot, proj = _quotient(m, bourne_congruence(m, sub))
+    quot, proj = bourne_quotient(m, sub)
     return (lambda h: tuple(proj.image_of[y] for y in h)), p, quot
 
 

@@ -17,7 +17,7 @@ from .core import (
     _quotient,
     _translations,
     bits,
-    bourne_congruence,
+    bourne_quotient,
     congruence_closure,
     enumerate_congruences,
     enumerate_subsemimodules,
@@ -305,8 +305,7 @@ def condition_profile_for_module(n: SemimoduleTable,
         inside = [t.members for t in subt if t.members & ~sub.members == 0]
         for lmask in _maximal_proper(inside, sub.members):
             local = mask_of(back[x] for x in bits(lmask))
-            quot, _ = _quotient(
-                inner, bourne_congruence(inner, SubStructure(inner, local)))
+            quot, _ = bourne_quotient(inner, SubStructure(inner, local))
             pair = (sub.members, lmask)
             if c2 and not is_module_ideal_simple(quot)[0]:
                 c2, c2_w = False, pair

@@ -1,7 +1,7 @@
 import pytest
 
 from finsemi.catalog import boolean_semiring, make_B, make_product
-from finsemi.core import validate_semiring
+from finsemi.core import SemimoduleTable, validate_semimodule, validate_semiring
 
 
 @pytest.fixture(scope="session")
@@ -35,11 +35,15 @@ def BxB(B):
 
 
 def _relabelled(s, pi):
-    """The semiring isomorphic to s under x -> pi[x]."""
+    """The semiring, or the semimodule, isomorphic to s under x -> pi[x]."""
     inv = [0] * s.order
     for old, new in enumerate(pi):
         inv[new] = old
     rng = range(s.order)
+    if isinstance(s, SemimoduleTable):
+        return validate_semimodule(s.base, [[pi[s.add[inv[a]][inv[b]]] for b in rng] for a in rng],
+                                   [[pi[row[inv[a]]] for a in rng] for row in s.act],
+                                   zero=pi[s.zero])
     return validate_semiring([[pi[s.add[inv[a]][inv[b]]] for b in rng] for a in rng],
                              [[pi[s.mul[inv[a]][inv[b]]] for b in rng] for a in rng],
                              zero=pi[s.zero], one=pi[s.one])

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from finsemi import auditor
+from finsemi import auditor, core
 from finsemi.auditor import (
     audit_corpus,
     audit_instance,
@@ -217,8 +217,9 @@ def test_fixture_expectations_emit_known_discrepancies():
 
 def test_fixture_expectation_witnesses_follow_the_computed_values(monkeypatch):
     # a discrete "Bourne" partition makes the quotient all of B(3,1), where
-    # 1+1=2 and 2+2=2; the faked profiles make every rem-indp.5 item hold
-    monkeypatch.setattr(auditor, "bourne_congruence", lambda m, sub: discrete_partition(m))
+    # 1+1=2 and 2+2=2; the faked profiles make every rem-indp.5 item hold.
+    # The stored quotient is built in core, so the partition is faked there
+    monkeypatch.setattr(core, "bourne_congruence", lambda m, sub: discrete_partition(m))
     monkeypatch.setattr(auditor, "semiring_simplicity_profile",
                         lambda s: SimpleNamespace(congruence_simple=True, ideal_simple=False))
     monkeypatch.setattr(auditor, "condition_profile",
@@ -233,6 +234,29 @@ def test_fixture_expectation_witnesses_follow_the_computed_values(monkeypatch):
         rec = by_id[(name, "rem-indp.5")]
         assert rec.verdict == "holds"
         assert rec.witness.endswith("all four hold for all-endos, top-preserving")
+
+
+def test_each_bourne_quotient_is_built_once(monkeypatch):
+    # over the audits of the eight fixtures, the deciders and InstanceFacts
+    # build M/K at most once per module table and K; summands reads Bourne
+    # relations without building quotients, so its calls are left out
+    import sys
+
+    real = core.bourne_congruence
+    built = []
+
+    def spy(m, sub):
+        built.append((m, sub.members))  # holding m keeps its id unique
+        return real(m, sub)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.startswith("finsemi.") and name != "finsemi.summands"
+                and getattr(mod, "bourne_congruence", None) is real):
+            monkeypatch.setattr(mod, "bourne_congruence", spy)
+    for name, s in auditor._catalog_fixtures():
+        audit_instance(s, instance=name)
+    keys = [(id(m), members) for m, members in built]
+    assert keys and len(set(keys)) == len(keys)
 
 
 def test_truncated_fixture_expectations_are_unknown():

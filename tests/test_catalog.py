@@ -15,7 +15,7 @@ from finsemi.catalog import (
     pentagon_n5,
 )
 from finsemi.core import v_and_k_sets
-from finsemi.errors import InvalidParameters, NotDistributive
+from finsemi.errors import DegenerateStructure, InvalidParameters, NotDistributive
 
 
 def _zn_tables(n):
@@ -103,6 +103,13 @@ def test_end_of_two_chain_is_boolean(B):
     e = make_end_semiring(chain_lattice(2))
     assert e.order == 2
     assert (e.add, e.mul) == (B.add, B.mul)
+
+
+@pytest.mark.parametrize("top_preserving", [False, True])
+def test_end_of_one_element_lattice_is_degenerate(top_preserving):
+    # its only endomorphism is both the zero map and the identity
+    with pytest.raises(DegenerateStructure):
+        make_end_semiring(chain_lattice(1), top_preserving=top_preserving)
 
 
 def test_end_m3_carrier_sizes():

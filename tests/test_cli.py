@@ -168,6 +168,17 @@ def test_catalog_end_from_lattice_file(tmp_path, capsys):
     assert "order 50" in capsys.readouterr().out
 
 
+def test_catalog_end_of_one_element_lattice_fails(tmp_path, capsys):
+    from finsemi.catalog import chain_lattice
+    from finsemi.textio import emit_lattice
+
+    path = tmp_path / "c1.lat"
+    path.write_text(emit_lattice(chain_lattice(1)), encoding="utf-8")
+    assert run(["catalog", "end", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: End(M) has a single element")
+
+
 def test_catalog_lattice_distributive_only(tmp_path, capsys):
     from finsemi.catalog import chain_lattice, diamond_m3
     from finsemi.textio import emit_lattice

@@ -34,6 +34,7 @@ from finsemi.core import (
     zero_module,
 )
 from finsemi.errors import AxiomViolations, IncompatiblePartition, ShapeError
+from finsemi.auditor import enumerate_semirings
 from finsemi.catalog import chain_lattice, make_B, make_end_semiring
 
 
@@ -430,6 +431,22 @@ def test_limit_marks_non_exhaustive(B43):
     subs = enumerate_subsemimodules(m, Limits(max_results=2))
     assert not subs.exhaustive
     assert len(subs) <= 2
+
+
+@pytest.mark.parametrize("enumerate_all, size", [
+    (lambda limits: enumerate_subsemimodules(make_B(3, 1).left_module(), limits), 3),
+    (lambda limits: enumerate_congruences(make_B(3, 1).left_module(), limits), 4),
+    (lambda limits: enumerate_semirings(4, limits=limits), 40),
+], ids=["subsemimodules", "congruences", "semirings"])
+def test_a_cap_the_answer_just_fits_is_not_a_truncation(enumerate_all, size):
+    # truncated means a further result exists, not that the cap was reached
+    full = enumerate_all(Limits())
+    assert full.exhaustive and len(full) == size
+    fits = enumerate_all(Limits(max_results=size))
+    assert fits.exhaustive and fits.items == full.items
+    cut = enumerate_all(Limits(max_results=size - 1))
+    assert not cut.exhaustive and len(cut) == size - 1
+    assert set(cut.items) < set(full.items)
 
 
 def test_subtractive_lattice_is_stored_per_table_and_limits(monkeypatch):

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from finsemi.core import (
+    Limits,
     LinearMap,
     SubStructure,
     bits,
@@ -17,7 +18,7 @@ from finsemi.core import (
     zero_map,
     zero_module,
 )
-from finsemi.errors import AxiomViolations, NotComposable
+from finsemi.errors import AxiomViolations, LimitExceeded, NotComposable
 from finsemi.homs import (
     are_isomorphic,
     classify_sequence,
@@ -296,6 +297,21 @@ def test_isomorphism_respects_relabeling(B43):
 
     other = validate_semimodule(B43, add, act, zero=perm[0])
     assert are_isomorphic(m, other)
+
+
+def test_truncated_hom_search_is_not_a_missing_isomorphism(B43, monkeypatch):
+    # a hom enumeration cut before its first map holds no bijection, which
+    # says nothing about whether one exists
+    from finsemi import homs
+
+    real = homs.enumerate_homs
+    monkeypatch.setattr(homs, "enumerate_homs",
+                        lambda m, n, limits=None: real(m, n, Limits(max_hom_nodes=0)))
+    m = B43.left_module()
+    cut = homs.enumerate_homs(m, m)
+    assert not cut.exhaustive and len(cut) == 0
+    with pytest.raises(LimitExceeded):
+        find_isomorphism(m, m)
 
 
 def test_different_orders_never_isomorphic(B31):

@@ -40,11 +40,12 @@ from finsemi.core import (
     enumerate_congruences,
     enumerate_subsemimodules,
     generated_subsemimodule,
+    linear_map_violations,
     product_module,
     quotient_by_congruence,
     sub_module,
 )
-from finsemi.homs import are_isomorphic, enumerate_homs
+from finsemi.homs import are_isomorphic, enumerate_homs, find_isomorphism
 from finsemi.projinj import (
     bounded_family,
     is_e_injective,
@@ -146,6 +147,24 @@ def test_endomorphism_subtractive_left_ideals(make_lattice, sizes):
     annihilators = {frozenset(k for k, f in enumerate(endos) if f[a] == lat.bottom)
                     for a in range(n)}
     assert set(naive) == annihilators
+
+
+@pytest.mark.parametrize("make_lattice", [diamond_m3, pentagon_n5, lambda: chain_lattice(4)],
+                         ids=["M3", "N5", "C4"])
+def test_top_preserving_endomorphism_tables(make_lattice):
+    # the maps fixing the top, plus the zero map, in lexicographic order
+    lat = make_lattice()
+    n = lat.order
+    zero, identity = (lat.bottom,) * n, tuple(range(n))
+    endos = [f for f in oracle.join_endomorphisms(lat.join, lat.bottom)
+             if f[lat.top] == lat.top or f == zero]
+    index = {f: k for k, f in enumerate(endos)}
+    e = make_end_semiring(lat, top_preserving=True)
+    assert (e.order, e.zero, e.one) == (len(endos), index[zero], index[identity])
+    assert e.add == tuple(tuple(index[tuple(lat.join[f[x]][g[x]] for x in range(n))]
+                                for g in endos) for f in endos)
+    assert e.mul == tuple(tuple(index[tuple(f[g[x]] for x in range(n))]
+                                for g in endos) for f in endos)
 
 
 @pytest.mark.parametrize("make_lattice, top_preserving, expected", [
@@ -380,6 +399,29 @@ def test_hom_sets_of_small_modules():
                 assert [f.image_of for f in homs] == \
                     oracle.homs(oracle.as_module(a), oracle.as_module(b)), name
     assert non_cyclic
+
+
+def test_isomorphism_search_against_all_bijections(relabelled):
+    # the family keeps one member per isomorphism class, so equal-order
+    # members are never isomorphic; each member is isomorphic to a copy
+    # with every element moved
+    pairs = 0
+    for name, _, family in _families():
+        for mod in family:
+            rotation = [(x + 1) % mod.order for x in range(mod.order)]
+            copies = [(other, other is mod) for other in family
+                      if other.order == mod.order]
+            copies.append((relabelled(mod, rotation), True))
+            for other, expected in copies:
+                assert oracle.isomorphic(oracle.as_module(mod), oracle.as_module(other)) \
+                    == expected, name
+                iso = find_isomorphism(mod, other)
+                assert (iso is not None) == are_isomorphic(mod, other) == expected, name
+                if iso is not None:
+                    assert iso.is_injective() and iso.is_surjective(), name
+                    assert linear_map_violations(mod, other, iso.image_of) == [], name
+                pairs += 1
+    assert pairs > 48
 
 
 @pytest.mark.parametrize("decider, lifting, route", [
