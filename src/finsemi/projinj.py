@@ -69,8 +69,8 @@ def bounded_family(s: SemiringTable,
     """The test family of s: :func:`semisimple.module_test_family` of its
     left module (S, every subsemimodule, every quotient by a module
     congruence), keeping the first of each isomorphism class (the deciders
-    are iso-invariant).  Raises :class:`LimitExceeded` if either
-    enumeration is truncated."""
+    are iso-invariant).  Raises :class:`LimitExceeded` if an enumeration
+    or an isomorphism search is truncated."""
     kept: list[SemimoduleTable] = []
     for mod in module_test_family(s.left_module(), limits):
         if not any(are_isomorphic(mod, seen) for seen in kept):
