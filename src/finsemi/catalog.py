@@ -25,6 +25,7 @@ from .errors import (
     ShapeError,
     Violation,
 )
+from .homs import enumerate_homs
 from .summands import end_semiring
 
 
@@ -260,18 +261,21 @@ def make_end_semiring(lat: LatticeSpec, top_preserving: bool = False,
     element to the bottom, 1 fixes it), and its linear maps are exactly the
     join maps fixing the bottom.  So the tables are those of
     :func:`summands.end_semiring` of that module, restricted in the
-    top-preserving case.  Raises :class:`DegenerateStructure` on the
+    top-preserving case.  The carrier is counted against ``max_carrier``
+    before any table is built.  Raises :class:`DegenerateStructure` on the
     one-element lattice, whose only endomorphism is both zero and one.
     """
     n = lat.order
     act = ((lat.bottom,) * n, tuple(range(n)))
-    end = end_semiring(validate_semimodule(boolean_semiring(), lat.join, act, lat.bottom), limits)
-    if len(end.maps) > limits.max_carrier:
-        raise LimitExceeded(f"{len(end.maps)} endomorphisms exceed limit {limits.max_carrier}")
-    t = end.semiring
+    module = validate_semimodule(boolean_semiring(), lat.join, act, lat.bottom)
+    zero_map = (lat.bottom,) * n
+    keep = [i for i, f in enumerate(enumerate_homs(module, module, limits))
+            if not top_preserving or f.image_of == zero_map or f(lat.top) == lat.top]
+    if len(keep) > limits.max_carrier:
+        raise LimitExceeded(f"{len(keep)} endomorphisms exceed limit {limits.max_carrier}")
+    t = end_semiring(module, limits).semiring
     if not top_preserving:
         return validate_semiring(t.add, t.mul, zero=t.zero, one=t.one)
-    keep = [i for i, f in enumerate(end.maps) if i == t.zero or f(lat.top) == lat.top]
     pos = {i: k for k, i in enumerate(keep)}
     add = [[pos[t.add[i][j]] for j in keep] for i in keep]
     mul = [[pos[t.mul[i][j]] for j in keep] for i in keep]

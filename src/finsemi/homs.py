@@ -278,12 +278,14 @@ def normality_profile(f: LinearMap) -> NormalityProfile:
 
 
 def find_isomorphism(m: SemimoduleTable, n: SemimoduleTable) -> LinearMap | None:
-    """The first S-linear bijection m -> n in image-tuple order, or None.
+    """The first S-linear bijection m -> n among the enumerated homs, or None.
 
     Modules whose element signatures (:func:`_scalar_signature`) differ as
     multisets are rejected without a search.  Otherwise the answer is the
     first injective map of :func:`enumerate_homs`, which on equal orders is
-    a bijection.  Raises :class:`LimitExceeded` when that enumeration is
+    a bijection.  On an exhaustive enumeration that is the first bijection
+    in image-tuple order; a truncated one drops maps, so its first bijection
+    need not be.  Raises :class:`LimitExceeded` when the enumeration is
     truncated and holds no bijection, since one may lie beyond the cut."""
     if m.base != n.base or m.order != n.order:
         return None

@@ -14,8 +14,9 @@ from finsemi.catalog import (
     make_product,
     pentagon_n5,
 )
-from finsemi.core import v_and_k_sets
-from finsemi.errors import DegenerateStructure, InvalidParameters, NotDistributive
+from finsemi import catalog
+from finsemi.core import Limits, v_and_k_sets
+from finsemi.errors import DegenerateStructure, InvalidParameters, LimitExceeded, NotDistributive
 
 
 def _zn_tables(n):
@@ -120,6 +121,26 @@ def test_end_m3_carrier_sizes():
 def test_end_n5_carrier_sizes():
     assert make_end_semiring(pentagon_n5()).order == 43
     assert make_end_semiring(pentagon_n5(), top_preserving=True).order == 27
+
+
+def test_end_carrier_limit_counts_the_returned_carrier():
+    # the top-preserving carrier of E(M3) is 37 maps plus zero, of 50 in all
+    assert make_end_semiring(diamond_m3(), True, Limits(max_carrier=40)).order == 38
+    assert make_end_semiring(diamond_m3(), True, Limits(max_carrier=38)).order == 38
+    with pytest.raises(LimitExceeded):
+        make_end_semiring(diamond_m3(), True, Limits(max_carrier=37))
+    with pytest.raises(LimitExceeded):
+        make_end_semiring(diamond_m3(), limits=Limits(max_carrier=49))
+
+
+@pytest.mark.parametrize("top_preserving", [False, True])
+def test_end_carrier_limit_raises_before_any_table(monkeypatch, top_preserving):
+    def no_tables(*args):
+        raise AssertionError("End tables built for a carrier over the limit")
+
+    monkeypatch.setattr(catalog, "end_semiring", no_tables)
+    with pytest.raises(LimitExceeded):
+        make_end_semiring(diamond_m3(), top_preserving, Limits(max_carrier=30))
 
 
 def test_end_m3_not_commutative():
