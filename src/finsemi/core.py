@@ -75,6 +75,11 @@ class Limits:
     max_hom_nodes: int = 2_000_000
     max_carrier: int = 4096
 
+    def __post_init__(self):
+        # the enumerators put their first result in before any cap check
+        if self.max_results < 1:
+            raise ValueError(f"max_results must be at least 1, got {self.max_results}")
+
 
 DEFAULT_LIMITS = Limits()
 
@@ -465,28 +470,28 @@ def _closure_mask(m: Parent, seed: int, base: int = 0) -> int:
 
 
 def _subtractive_extend(m: SemimoduleTable, mask: int) -> int:
-    """One subtractive step: add every x with x + l inside ``mask``."""
+    """The subtractive closure of a subsemimodule N (``mask``): every x with
+    x + l in N for some l in N.
+
+    One element decides it.  Let T be the sum of all members of N.  If
+    x + l is in N, so is x + T = (x + l) + (the sum of the other members);
+    and T itself is in N.  So x belongs iff x + T is in N.  The result is a
+    subsemimodule, and it is subtractive: from y + z and z in it, say
+    y + z + l1 and z + l2 in N, the member l = z + l2 + l1 of N has
+    y + l = (y + z + l1) + l2 in N."""
     add = m.add
-    out = mask
-    for x in range(m.order):
-        if out >> x & 1:
-            continue
-        row = add[x]
-        if any(mask >> row[l] & 1 for l in bits(mask)):
-            out |= 1 << x
-    return out
+    total = m.zero
+    for l in bits(mask):
+        total = add[total][l]
+    return mask_of(x for x, y in enumerate(add[total]) if mask >> y & 1)
 
 
 def _subtractive_closed_closure(m: SemimoduleTable, seed: int, base: int = 0) -> int:
     """Smallest subtractive subsemimodule containing ``base`` and ``seed``;
-    ``base`` must be closed, as for :func:`_closure_mask`.  Each round of
-    subtractive extension is closed from the mask the round started with."""
-    mask = _closure_mask(m, seed, base)
-    while True:
-        bigger = _subtractive_extend(m, mask)
-        if bigger == mask:
-            return mask
-        mask = _closure_mask(m, bigger, mask)
+    ``base`` must be closed, as for :func:`_closure_mask`.  One step of
+    :func:`_subtractive_extend` on the closure of the two is subtractive
+    and closed, so no further round is needed."""
+    return _subtractive_extend(m, _closure_mask(m, seed, base))
 
 
 @lru_cache(maxsize=200_000)

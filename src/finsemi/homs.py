@@ -16,6 +16,7 @@ from .core import (
     SubStructure,
     Table,
     _closure_mask,
+    _cyclic_generator,
     _is_k_normal,
     _linear_map,
     bourne_quotient,
@@ -136,9 +137,15 @@ def enumerate_homs(source: SemimoduleTable, target: SemimoduleTable,
                    limits: Limits = DEFAULT_LIMITS) -> Enumeration:
     """All S-linear maps source -> target, ordered by image tuple.
 
-    Backtracks over images of a generating set with forced propagation
-    after every choice; the zero map is always present.  A non-exhaustive
-    result only ever drops maps, never invents them.
+    A cyclic source (one whose scalar orbit of some g is the whole carrier,
+    see :func:`core._cyclic_generator`) takes the Yoneda path,
+    :func:`_yoneda_homs`: one map per target element that passes g's
+    scalar-partition test.  Any other source takes the DFS,
+    :func:`_dfs_homs`, which backtracks over images of a generating set
+    with forced propagation after every choice.  Each candidate image is
+    one node against ``max_hom_nodes``; the zero map is always present in
+    an exhaustive result, and a non-exhaustive one only ever drops maps,
+    never invents them.
     """
     return _enumerate_homs_cached(source, target, limits.max_hom_nodes)
 
@@ -148,6 +155,41 @@ def _enumerate_homs_cached(source: SemimoduleTable, target: SemimoduleTable,
                            max_nodes: int) -> Enumeration:
     if source.base != target.base:
         return Enumeration(items=(), exhaustive=True)
+    g = _cyclic_generator(source)
+    if g is None:
+        return _dfs_homs(source, target, max_nodes)
+    return _yoneda_homs(source, target, g, max_nodes)
+
+
+def _yoneda_homs(source: SemimoduleTable, target: SemimoduleTable, g: int,
+                 max_nodes: int) -> Enumeration:
+    """Hom(C, N) for a cyclic C = S.g: each v in N with s.g = t.g => s.v = t.v
+    gives the map s.g -> s.v, and every linear map is one of these, with
+    v = f(g).  The map is well defined by the test, additive because
+    s.g + t.g = (s + t).g, and S-linear and zero-preserving by the module
+    axioms.  :func:`_hom_candidates` applies exactly that test; its
+    tail/period test is implied by it, as k.g = (1 + ... + 1).g."""
+    reach: dict[int, int] = {}
+    for s, row in enumerate(source.act):
+        reach.setdefault(row[g], s)
+    scalars = [reach[x] for x in range(source.order)]
+    tact = target.act
+    found: list[LinearMap] = []
+    exhaustive = True
+    for nodes, v in enumerate(_hom_candidates(source, target, g), 1):
+        if nodes > max_nodes:
+            exhaustive = False
+            break
+        found.append(_linear_map(source, target, tuple(tact[s][v] for s in scalars)))
+    found.sort(key=lambda f: f.image_of)
+    return Enumeration(items=tuple(found), exhaustive=exhaustive)
+
+
+def _dfs_homs(source: SemimoduleTable, target: SemimoduleTable,
+              max_nodes: int) -> Enumeration:
+    """Hom(source, target) by backtracking over the images of
+    :func:`generating_set`, each choice propagated through
+    :func:`_stages`; the modules share a base."""
     gens = generating_set(source)
     stages = _stages(source)
     candidates = [_hom_candidates(source, target, g) for g in gens]
@@ -234,14 +276,19 @@ def _enumerate_homs_cached(source: SemimoduleTable, target: SemimoduleTable,
 
 def _pointwise_sums(target: SemimoduleTable, maps: Sequence[LinearMap]
                     ) -> tuple[Table, dict[tuple[int, ...], int]]:
-    """Pointwise addition on ``maps`` (all into ``target`` and closed under
-    pointwise sums) as a table of indices into ``maps``, plus the index of
-    each image array."""
-    index = {f.image_of: i for i, f in enumerate(maps)}
+    """Pointwise addition on ``maps`` (a non-empty list of maps from one
+    source into ``target``, closed under pointwise sums) as a table of
+    indices into ``maps``, plus the index of each map's key.
+
+    The table is keyed on generator images: a linear map is fixed by its
+    images of :func:`generating_set` of the source, so that tuple is each
+    map's key, and the key of a sum is the target sums of the two keys."""
+    gens = generating_set(maps[0].source)
+    index = {tuple(f.image_of[x] for x in gens): i for i, f in enumerate(maps)}
     tadd = target.add
     add = tuple(
-        tuple(index[tuple(tadd[a][b] for a, b in zip(f.image_of, g.image_of))] for g in maps)
-        for f in maps
+        tuple(index[tuple(tadd[a][b] for a, b in zip(fk, hk))] for hk in index)
+        for fk in index
     )
     return add, index
 

@@ -101,8 +101,8 @@ def hom_monoid(source: SemimoduleTable, target: SemimoduleTable,
                limits: Limits = DEFAULT_LIMITS) -> tuple[Monoid, tuple[LinearMap, ...]]:
     """Hom(source, target) under pointwise addition."""
     maps = _all_homs(source, target, limits)
-    add, index = _pointwise_sums(target, maps)
-    zero = index[(target.zero,) * source.order]
+    add, _ = _pointwise_sums(target, maps)
+    zero = next(i for i, f in enumerate(maps) if f.is_zero())
     return Monoid(order=len(maps), add=add, zero=zero), maps
 
 

@@ -20,7 +20,7 @@ from .core import (
     sub_module,
 )
 from .errors import CrosscheckFailure, DegenerateStructure, LimitExceeded
-from .homs import _pointwise_sums, enumerate_homs
+from .homs import _pointwise_sums, enumerate_homs, generating_set
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +141,14 @@ def end_semiring(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS) -> EndSemi
     if len(maps) < 2:
         raise DegenerateStructure("End(M) has a single element; zero equals one")
     add_rows, index = _pointwise_sums(m, maps)
-    n = m.order
+    # f after h sends the generators to f of h's generator images
     mul_rows = tuple(
-        tuple(index[tuple(f.image_of[g.image_of[x]] for x in range(n))] for g in maps)
+        tuple(index[tuple(f.image_of[y] for y in hk)] for hk in index)
         for f in maps
     )
-    zero = index[(m.zero,) * n]
-    one = index[tuple(range(n))]
+    gens = generating_set(m)
+    zero = index[(m.zero,) * len(gens)]
+    one = index[gens]
     sr = _semiring_table(add_rows, mul_rows, zero, one)
     return EndSemiring(semiring=sr, maps=maps)
 

@@ -449,6 +449,13 @@ def test_a_cap_the_answer_just_fits_is_not_a_truncation(enumerate_all, size):
     assert set(cut.items) < set(full.items)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_limits_reject_a_result_cap_below_one(cap):
+    # each enumerator puts its first result in before any cap check
+    with pytest.raises(ValueError):
+        Limits(max_results=cap)
+
+
 def test_subtractive_lattice_is_stored_per_table_and_limits(monkeypatch):
     from finsemi import core
 

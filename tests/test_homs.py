@@ -4,10 +4,15 @@ import itertools
 
 import pytest
 
+from finsemi import homs
+from finsemi.auditor import _catalog_fixtures, enumerate_semirings
+from finsemi.catalog import make_B
 from finsemi.core import (
+    DEFAULT_LIMITS,
     Limits,
     LinearMap,
     SubStructure,
+    _cyclic_generator,
     bits,
     bourne_congruence,
     full_mask,
@@ -30,7 +35,7 @@ from finsemi.homs import (
     short_exact_equivalences,
     zero_flanked,
 )
-from finsemi.projinj import is_i_injective, is_k_projective
+from finsemi.projinj import bounded_family, is_i_injective, is_k_projective
 
 
 def _brute_homs(src, tgt):
@@ -93,6 +98,52 @@ def test_zero_map_always_present(B31, B43):
 
 def test_generating_set_of_regular_module_is_unit(B31):
     assert generating_set(B31.left_module()) == (1,)
+
+
+def test_yoneda_path_matches_the_dfs():
+    # Hom(C, N) for a cyclic C by the formula against the generator DFS, on
+    # every pair of family members with a cyclic source, over every semiring
+    # of order <= 4 and the catalog fixtures
+    semirings = [s for order in (2, 3, 4) for s in enumerate_semirings(order)]
+    semirings += [s for _, s in _catalog_fixtures()]
+    pairs = 0
+    for s in semirings:
+        family = bounded_family(s)
+        for a in family:
+            if _cyclic_generator(a) is None:
+                continue
+            for b in family:
+                yoneda = enumerate_homs(a, b)
+                dfs = homs._dfs_homs(a, b, DEFAULT_LIMITS.max_hom_nodes)
+                assert [f.image_of for f in yoneda] == [f.image_of for f in dfs]
+                assert yoneda.exhaustive == dfs.exhaustive
+                pairs += 1
+    assert pairs > 1000
+
+
+def test_cyclic_sources_never_reach_the_dfs(monkeypatch):
+    family = bounded_family(make_B(3, 1))
+    cyclic = [a for a in family if _cyclic_generator(a) is not None]
+    assert cyclic
+
+    def no_stages(m):
+        raise AssertionError("the DFS ran on a cyclic source")
+
+    monkeypatch.setattr(homs, "_stages", no_stages)
+    # a cached enumeration would not show which path built it
+    homs._enumerate_homs_cached.cache_clear()
+    for a in cyclic:
+        for b in family:
+            assert enumerate_homs(a, b).exhaustive
+
+
+def test_truncated_yoneda_path_only_drops_maps(B43):
+    m = B43.left_module()
+    full = [f.image_of for f in enumerate_homs(m, m)]
+    for cap in range(len(full) + 1):
+        cut = enumerate_homs(m, m, Limits(max_hom_nodes=cap))
+        assert len(cut) == cap and cut.exhaustive == (cap == len(full))
+        assert set(f.image_of for f in cut) <= set(full)
 
 
 def test_invalid_map_rejected(B31):

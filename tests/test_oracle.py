@@ -44,6 +44,7 @@ from finsemi.core import (
     product_module,
     quotient_by_congruence,
     sub_module,
+    subtractive_closure,
 )
 from finsemi.homs import are_isomorphic, enumerate_homs, find_isomorphism
 from finsemi.projinj import (
@@ -361,6 +362,18 @@ def test_generated_subsemimodules_of_small_modules():
             members = frozenset(bits(seed))
             least = frozenset.intersection(*(t for t in subs if members <= t))
             assert set(bits(generated_subsemimodule(m, seed).members)) == least, (name, seed)
+
+
+def test_subtractive_closures_of_small_modules():
+    # the subtractive closure of a subsemimodule is the meet of the
+    # subtractive ones that contain it
+    for name, m in _closure_sweep():
+        naive = oracle.as_module(m)
+        subtractive = [frozenset(t) for t in oracle.submodules(naive, subtractive=True)]
+        for sub in enumerate_subsemimodules(m):
+            members = frozenset(bits(sub.members))
+            least = frozenset.intersection(*(t for t in subtractive if members <= t))
+            assert set(bits(subtractive_closure(sub).members)) == least, (name, members)
 
 
 def test_two_generator_subsemimodules_of_squares():

@@ -1,7 +1,10 @@
 """Direct sums, Comp, retracts, summand posets, irreducible decompositions."""
 
+from itertools import combinations
+
 import pytest
 
+from finsemi.auditor import enumerate_semirings
 from finsemi.core import (
     SubStructure,
     bourne_congruence,
@@ -15,6 +18,7 @@ from finsemi.core import (
 )
 from finsemi.errors import DegenerateStructure
 from finsemi.homs import are_isomorphic
+from finsemi.projinj import bounded_family, hom_monoid
 from finsemi.summands import (
     comp_elements,
     decomposition_from_parts,
@@ -71,6 +75,41 @@ def test_end_b31_has_three_elements(B31):
 def test_end_of_zero_module_degenerate(B31):
     with pytest.raises(DegenerateStructure):
         end_semiring(zero_module(B31))
+
+
+def test_end_and_hom_tables_follow_the_maps():
+    # the tables are keyed on generator images; each cell must still be the
+    # composite, or the pointwise sum, of the maps it indexes.  Sums of two
+    # family members are sources with more than one generator.
+    ends = 0
+    for s in (s for order in (2, 3) for s in enumerate_semirings(order)):
+        family = bounded_family(s)
+        sums = [product_module(a, b) for a, b in combinations(family, 2)
+                if a.order * b.order <= 9]
+        for m in family + sums:
+            try:
+                e = end_semiring(m)
+            except DegenerateStructure:
+                continue
+            ends += 1
+            index = {f.image_of: i for i, f in enumerate(e.maps)}
+            for i, f in enumerate(e.maps):
+                for j, h in enumerate(e.maps):
+                    assert e.semiring.mul[i][j] == index[f.compose(h).image_of]
+                    pointwise = tuple(m.add[x][y] for x, y in zip(f.image_of, h.image_of))
+                    assert e.semiring.add[i][j] == index[pointwise]
+            assert e.maps[e.semiring.zero].is_zero()
+            assert e.maps[e.semiring.one].image_of == tuple(range(m.order))
+        for a in family + sums:
+            for b in family:
+                monoid, maps = hom_monoid(a, b)
+                index = {f.image_of: i for i, f in enumerate(maps)}
+                for i, f in enumerate(maps):
+                    for j, h in enumerate(maps):
+                        pointwise = tuple(b.add[x][y] for x, y in zip(f.image_of, h.image_of))
+                        assert monoid.add[i][j] == index[pointwise]
+                assert maps[monoid.zero].is_zero()
+    assert ends > 20
 
 
 def test_comp_examples(B, B31, BxB):
