@@ -898,21 +898,27 @@ def enumerate_subsemimodules(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS
     and ends early when it reaches the whole carrier.  With
     ``subtractive_only`` each extension is also closed subtractively, so
     the search walks the lattice of subtractive subsemimodules directly and
-    reaches exactly those.
+    reaches exactly those.  When the addition of ``m`` is idempotent, the
+    subtractive lattice is read off the principal down-sets instead, with
+    no closure (see :func:`_subtractive_down_sets`).
 
-    Each tried extension is one step.  When ``max_steps`` is reached, or a
-    closed set beyond the first ``max_results`` is found, the items are the
-    closed sets found so far (at most ``max_results``), each a real
-    SubStructure (subtractive, with ``subtractive_only``), and
-    ``exhaustive`` is False.
+    Each tried extension (each tried down-set) is one step.  When
+    ``max_steps`` is reached, or a closed set beyond the first
+    ``max_results`` is found, the items are the closed sets found so far
+    (at most ``max_results``), each a real SubStructure (subtractive, with
+    ``subtractive_only``), and ``exhaustive`` is False.
 
     The subtractive lattice is computed once per table and ``limits``: the
     first such call stores its Enumeration on ``m``, and later calls with
     equal limits return that same object.  A call with other limits makes
     and stores its own.
     """
-    if subtractive_only and limits in m._subtractive_lattices:
-        return m._subtractive_lattices[limits]
+    if subtractive_only:
+        stored = m._subtractive_lattices
+        if limits not in stored and _is_idempotent(m):
+            stored[limits] = _subtractive_down_sets(m, limits)
+        if limits in stored:
+            return stored[limits]
     close = _subtractive_closed_closure if subtractive_only else _closure_mask
     start = close(m, 0)
     seen = {start}
@@ -944,16 +950,54 @@ def enumerate_subsemimodules(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS
     return out
 
 
+def _subtractive_down_sets(m: SemimoduleTable, limits: Limits) -> Enumeration:
+    """The subtractive subsemimodules of an additively idempotent ``m``: the
+    down-sets D(c) = {x : x + c = c} with s.c + c = c for every scalar s.
+
+    With x + x = x the carrier is a join-semilattice, x <= y iff x + y = y.
+    A subtractive N is a down-set: y in N and x + y = y give x in N.  It
+    holds T, the sum of its members, and every member x has x + T = T; so
+    N = D(T).  Conversely each D(c) holds zero, is closed under addition
+    (x + y + c = x + c + y + c = c) and is subtractive: x + y and y in D(c)
+    give x <= x + y <= c.  Each scalar s is additive, hence monotone, so
+    D(c) is closed under s iff s.c lies in D(c), that is s.c + c = c.
+    Distinct c give distinct D(c).
+
+    D(zero) = {zero} is the least and is put in before any step; every other
+    candidate c, in ascending order, is one step.  The limits cut as in
+    :func:`enumerate_subsemimodules`."""
+    add, n = m.add, m.order
+    found = [1 << m.zero]
+    exhaustive = True
+    steps = 0
+    for c in range(n):
+        if c == m.zero:
+            continue
+        steps += 1
+        if steps > limits.max_steps:
+            exhaustive = False
+            break
+        if all(add[row[c]][c] == c for row in m.act):
+            if len(found) >= limits.max_results:
+                exhaustive = False
+                break
+            found.append(mask_of(x for x in range(n) if add[x][c] == c))
+    subs = tuple(SubStructure(m, mask) for mask in sorted(found))
+    return Enumeration(items=subs, exhaustive=exhaustive)
+
+
 def enumerate_congruences(parent: Parent, limits: Limits = DEFAULT_LIMITS) -> Enumeration:
     """All congruences of a semimodule (or semiring), in ascending order of
     their class maps.
 
     Con(A) is a sublattice of the lattice of equivalences, and every
     congruence is a join of principal ones.  So each principal congruence
-    Cg(a, b), a < b, is closed once, and the diagonal is then join-closed
-    over the distinct ones; a join merges two class maps and applies no
-    translation.  A join with Cg(a, b) is skipped when a and b are already
-    related, because the result is then the congruence itself.
+    Cg(a, b) over the pairs of :func:`_principal_pairs` (every pair a < b,
+    or only the covering pairs when the addition is idempotent) is closed
+    once, and the diagonal is then join-closed over the distinct ones; a
+    join merges two class maps and applies no translation.  A join with
+    Cg(a, b) is skipped when a and b are already related, because the
+    result is then the congruence itself.
 
     Each principal closure and each join is one step.  When ``max_steps``
     is reached, or a congruence beyond the first ``max_results`` is found,
@@ -964,7 +1008,7 @@ def enumerate_congruences(parent: Parent, limits: Limits = DEFAULT_LIMITS) -> En
     exhaustive = True
     steps = 0
     principals: dict[tuple[int, ...], tuple[int, int]] = {}
-    for a, b in combinations(range(n), 2):
+    for a, b in _principal_pairs(parent):
         steps += 1
         if steps > limits.max_steps:
             exhaustive = False
@@ -1002,3 +1046,42 @@ def _join(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
     for cx, cy in zip(x, y):
         uf.union(first.setdefault(cy, cx), cx)
     return _normalize_class_of([uf.find(c) for c in x])
+
+
+def _is_idempotent(parent: Parent) -> bool:
+    """x + x = x for every x."""
+    add = parent.add
+    return all(add[x][x] == x for x in range(parent.order))
+
+
+def _principal_pairs(parent: Parent) -> list[tuple[int, int]]:
+    """Index pairs a < b whose principal congruences generate Con(parent),
+    in the order of ``combinations``: every pair, or, when the addition is
+    idempotent, only the covering pairs of the additive order.
+
+    With x + x = x the carrier is a join-semilattice under x <= y iff
+    x + y = y, and y covers x when x <= y, x != y and no third element c
+    has x <= c <= y.  Take a congruence ~; the argument uses only the
+    translations x -> x + c, which a semiring and a semimodule both have
+    (the lattice case is in Freese, Jezek and Nation, *Free Lattices*,
+    AMS 1995, ch. II).
+    - If a ~ b then a = a + a ~ a + b and b = b + b ~ a + b; conversely
+      those two give a ~ b.  So Cg(a, b) = Cg(a, a + b) v Cg(b, a + b),
+      a join over two comparable pairs.
+    - If a <= x <= c and a ~ c then x = a + x ~ c + x = c.  So each
+      covering pair (x_i, x_i+1) of a maximal chain a = x_0, ..., x_k = c
+      lies in Cg(a, c), and by transitivity Cg(a, c) is their join.
+    Every principal congruence, hence every congruence, is then a join of
+    principal congruences of covering pairs."""
+    n = parent.order
+    pairs = combinations(range(n), 2)
+    if not _is_idempotent(parent):
+        return list(pairs)
+    add = parent.add
+    below = [mask_of(a for a in range(n) if add[a][b] == b) for b in range(n)]
+    above = [mask_of(c for c in range(n) if add[a][c] == c) for a in range(n)]
+
+    def covers(lo: int, hi: int) -> bool:
+        return above[lo] & below[hi] == 1 << lo | 1 << hi
+
+    return [(a, b) for a, b in pairs if covers(a, b) or covers(b, a)]

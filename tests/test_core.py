@@ -363,6 +363,150 @@ def test_congruences_reproduced_from_their_pairs(B31, B43):
             assert congruence_closure(m, pairs).class_of == rho.class_of
 
 
+def _join_of(x, y):
+    """The join of two equivalences given by class maps, as a normalized
+    class map: merge every element with the first member of its class in
+    either map, then read the merged classes off in first-seen order."""
+    n = len(x)
+    up = list(range(n))
+
+    def find(i):
+        while up[i] != i:
+            i = up[i]
+        return i
+
+    for cls in (x, y):
+        first = {}
+        for i, c in enumerate(cls):
+            a, b = find(first.setdefault(c, i)), find(i)
+            up[max(a, b)] = min(a, b)
+    return _normalize([find(i) for i in range(n)])
+
+
+def _all_pairs_lattice(parent):
+    """Con(parent) as the join closure of the diagonal over Cg(a, b) for
+    every pair a < b, sorted by class map."""
+    n = parent.order
+    principals = {congruence_closure(parent, [(a, b)]).class_of
+                  for a in range(n) for b in range(a + 1, n)}
+    lattice = {tuple(range(n))}
+    frontier = list(lattice)
+    while frontier:
+        rho = frontier.pop()
+        for cg in principals:
+            bigger = _join_of(rho, cg)
+            if bigger not in lattice:
+                lattice.add(bigger)
+                frontier.append(bigger)
+    return sorted(lattice)
+
+
+def _is_idempotent(parent):
+    return all(parent.add[x][x] == x for x in range(parent.order))
+
+
+def _classes_under(pi, class_of):
+    """The class map of the partition moved along x -> pi[x], normalized."""
+    moved = [0] * len(class_of)
+    for x, c in enumerate(class_of):
+        moved[pi[x]] = c
+    return _normalize(moved)
+
+
+def test_covering_pairs_give_every_congruence_of_small_idempotent_carriers():
+    # the semirings of order <= 4 as semirings and through their families
+    # (left module, subsemimodules, quotients)
+    from finsemi.projinj import bounded_family
+
+    semirings = [s for order in (2, 3, 4) for s in enumerate_semirings(order)]
+    assert len(semirings) == 48
+    checked = 0
+    for k, s in enumerate(semirings):
+        for parent in [s, *bounded_family(s)]:
+            if not _is_idempotent(parent):
+                continue
+            cons = enumerate_congruences(parent)
+            assert cons.exhaustive
+            assert [rho.class_of for rho in cons] == _all_pairs_lattice(parent), (k, parent)
+            checked += 1
+    assert checked > 100
+
+
+def _idempotent_fixtures():
+    from finsemi.auditor import _catalog_fixtures
+    from finsemi.catalog import diamond_m3, pentagon_n5
+
+    out = dict(_catalog_fixtures())
+    out["E(C4)"] = make_end_semiring(chain_lattice(4))
+    out["E(M3)-top"] = make_end_semiring(diamond_m3(), top_preserving=True)
+    out["E(N5)-top"] = make_end_semiring(pentagon_n5(), top_preserving=True)
+    return out
+
+
+# On the semirings E(M3) and E(M3)-top the all-pairs reference alone would
+# add over a second to the run, so those two are checked as modules only;
+# a semiring takes the same path, and the others check it.
+@pytest.mark.parametrize("name, levels", [
+    ("BxB", "both"), ("BxBxB", "both"), ("E(M3)", "module"), ("E(N5)", "both"),
+    ("E(C4)", "both"), ("E(M3)-top", "module"), ("E(N5)-top", "both"),
+])
+def test_covering_pairs_give_every_congruence_of_the_idempotent_fixtures(
+        name, levels, relabelled):
+    # the reference lattice is computed once, in the catalog labelling, and
+    # carried to a seeded relabelling along the permutation
+    import random
+
+    s = _idempotent_fixtures()[name]
+    pi = list(range(s.order))
+    random.Random(f"covering/{name}").shuffle(pi)
+    moved = relabelled(s, pi)
+    pairs = [(s.left_module(), moved.left_module())]
+    if levels == "both":
+        pairs.append((s, moved))
+    for parent, copy in pairs:
+        assert _is_idempotent(parent)
+        want = _all_pairs_lattice(parent)
+        assert [rho.class_of for rho in enumerate_congruences(parent)] == want
+        assert [rho.class_of for rho in enumerate_congruences(copy)] == \
+            sorted(_classes_under(pi, c) for c in want)
+
+
+def _covers(add, lo, hi):
+    """lo < hi in the additive order, with nothing strictly between."""
+    n = len(add)
+    return (lo != hi and add[lo][hi] == hi
+            and not any(add[lo][c] == c and add[c][hi] == hi for c in range(n) if c not in (lo, hi)))
+
+
+def test_only_idempotent_carriers_take_the_covering_pairs(monkeypatch):
+    # counted principal closures: all n(n - 1)/2 pairs where x + x = x fails
+    # somewhere, fewer on E(C4), one per covering pair of its additive order
+    from finsemi import core
+
+    calls = []
+    original = core.congruence_closure
+
+    def counting(parent, pairs):
+        calls.append(pairs)
+        return original(parent, pairs)
+
+    monkeypatch.setattr(core, "congruence_closure", counting)
+    for s in (make_B(3, 1), make_B(4, 3)):
+        for parent in (s, s.left_module()):
+            assert not _is_idempotent(parent)
+            calls.clear()
+            enumerate_congruences(parent)
+            n = parent.order
+            assert len(calls) == n * (n - 1) // 2
+    m = make_end_semiring(chain_lattice(4)).left_module()
+    calls.clear()
+    enumerate_congruences(m)
+    covering = [(a, b) for a in range(m.order) for b in range(a + 1, m.order)
+                if any(_covers(m.add, lo, hi) for lo, hi in ((a, b), (b, a)))]
+    assert calls == [[pair] for pair in covering]
+    assert len(covering) < m.order * (m.order - 1) // 2
+
+
 def test_bourne_generated_by_ideal_pairs(B31, B43, BxB):
     # the congruence generated by N x N is the Bourne relation of N
     for s in (B31, B43, BxB):
@@ -459,14 +603,16 @@ def test_limits_reject_a_result_cap_below_one(cap):
 def test_subtractive_lattice_is_stored_per_table_and_limits(monkeypatch):
     from finsemi import core
 
+    # E(C4) is additively idempotent, so its lattice is built by the
+    # down-set route; each call of that builder is one lattice built
     calls = []
-    original = core._subtractive_closed_closure
+    original = core._subtractive_down_sets
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(core, "_subtractive_closed_closure", counting)
+    monkeypatch.setattr(core, "_subtractive_down_sets", counting)
     s = make_end_semiring(chain_lattice(4))
     m = s.left_module()
     assert s.left_module() is m

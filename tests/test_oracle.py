@@ -9,7 +9,8 @@ semiring-level ideal- and congruence-simplicity verdicts, and their
 witnesses, on every small semiring, the congruence lattices and
 principal congruences of small modules and semirings, the
 subsemimodule lattices, generated subsemimodules and hom sets of small
-modules, the four projectivity and injectivity deciders against naive Hom
+modules, the subtractive lattices of additively idempotent modules read
+off their principal down-sets, the four projectivity and injectivity deciders against naive Hom
 sequences, the congruence-simplicity of ``E(M3)`` and ``E(N5)`` above the
 brute-force cap, through the oracle's translation certificate, and the list
 of semirings of order at most 4 up to isomorphism.
@@ -33,6 +34,7 @@ from finsemi.catalog import (
 )
 from finsemi.core import (
     DEFAULT_LIMITS,
+    Limits,
     SubStructure,
     bits,
     bourne_congruence,
@@ -374,6 +376,83 @@ def test_subtractive_closures_of_small_modules():
             members = frozenset(bits(sub.members))
             least = frozenset.intersection(*(t for t in subtractive if members <= t))
             assert set(bits(subtractive_closure(sub).members)) == least, (name, members)
+
+
+def _subtractive_walk(m) -> list[int]:
+    """The subtractive lattice by the closure walk: from the least
+    subtractive subsemimodule, close each one found with every element
+    outside it, until nothing new appears."""
+    from finsemi import core
+
+    start = core._subtractive_closed_closure(m, 0)
+    seen, queue = {start}, [start]
+    while queue:
+        current = queue.pop()
+        for x in range(m.order):
+            if not current >> x & 1:
+                bigger = core._subtractive_closed_closure(m, 1 << x, current)
+                if bigger not in seen:
+                    seen.add(bigger)
+                    queue.append(bigger)
+    return sorted(seen)
+
+
+def _idempotent_modules():
+    """The additively idempotent family members of the semirings of order
+    at most 4, and the left modules of the idempotent fixtures, of E(C4)
+    and of the top-preserving End variants."""
+    b = boolean_semiring()
+    semirings = [make_product([b, b]), make_product([b, b, b]),
+                 make_end_semiring(chain_lattice(4)),
+                 make_end_semiring(diamond_m3()), make_end_semiring(pentagon_n5()),
+                 make_end_semiring(diamond_m3(), top_preserving=True),
+                 make_end_semiring(pentagon_n5(), top_preserving=True)]
+    mods = [(name, mod) for name, _, family in _families() for mod in family]
+    mods += [(repr(s), s.left_module()) for s in semirings]
+    return [(name, m) for name, m in mods
+            if all(m.add[x][x] == x for x in range(m.order))]
+
+
+def test_down_set_route_of_idempotent_modules():
+    # up to the brute-force cap against all subsets, above it against the
+    # closure walk, which modules whose addition is not idempotent still take
+    routes = {"oracle": 0, "walk": 0}
+    for name, m in _idempotent_modules():
+        subt = enumerate_subsemimodules(m, subtractive_only=True)
+        assert subt.exhaustive, name
+        got = [t.members for t in subt]
+        if m.order <= oracle.MAX_BRUTE_ORDER:
+            want = [sum(1 << x for x in t)
+                    for t in oracle.submodules(oracle.as_module(m), subtractive=True)]
+            routes["oracle"] += 1
+        else:
+            want = _subtractive_walk(m)
+            routes["walk"] += 1
+        assert got == want, name
+    assert routes["oracle"] > 100 and routes["walk"] == 5
+
+
+@pytest.mark.parametrize("limits", [Limits(max_steps=3), Limits(max_results=2)],
+                         ids=["max_steps=3", "max_results=2"])
+@pytest.mark.parametrize("make_lattice", [diamond_m3, pentagon_n5], ids=["E(M3)", "E(N5)"])
+def test_truncated_down_set_route(make_lattice, limits):
+    # a cut keeps real subtractive subsemimodules of the full lattice; one
+    # step per candidate other than zero, and a result cap that the lattice
+    # just fits is no cut
+    m = make_end_semiring(make_lattice()).left_module()
+    full = enumerate_subsemimodules(m, subtractive_only=True)
+    assert full.exhaustive and len(full) == 5
+    cut = enumerate_subsemimodules(m, limits, subtractive_only=True)
+    assert not cut.exhaustive
+    assert 1 <= len(cut) <= min(limits.max_results, limits.max_steps + 1)
+    assert {t.members for t in cut} < {t.members for t in full}
+    naive = oracle.as_module(m)
+    assert all(oracle.is_subtractive(naive, frozenset(bits(t.members))) for t in cut)
+    for enough in (Limits(max_steps=m.order - 1), Limits(max_results=len(full))):
+        again = enumerate_subsemimodules(m, enough, subtractive_only=True)
+        assert again.exhaustive and again.items == full.items
+    short = enumerate_subsemimodules(m, Limits(max_steps=m.order - 2), subtractive_only=True)
+    assert not short.exhaustive
 
 
 def test_two_generator_subsemimodules_of_squares():
