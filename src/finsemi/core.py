@@ -205,32 +205,34 @@ def semiring_violations(add: Table, mul: Table, zero: int, one: int) -> list[Vio
     """All semiring axiom failures for the given tables, in a fixed order.
 
     The identities, the absorbing zero, additive commutativity and
-    zero != one are checked over all elements and pairs.  The three laws on
-    triples would take n³ steps; when the quadratic checks pass, they are
-    first decided exactly on a set G that generates the carrier under +
+    zero != one are checked over all elements and pairs.  The laws on
+    triples (both associative laws, both distributive laws) would take n³
+    steps; when the quadratic checks pass, they are first decided exactly
+    at the elements of a set G that generates the carrier under +
     (:func:`_additive_generators`), in O(|G|·n²) steps.  Only if that
     fails does the all-triples scan run, which lists every failure.  Light's
     associativity test (A. H. Clifford and G. B. Preston, *The Algebraic
-    Theory of Semigroups*, vol. 1, AMS 1961, §1.2) carries over as follows,
-    with + commutative, 0 its identity and 0 absorbing for ·:
+    Theory of Semigroups*, vol. 1, AMS 1961) carries over as follows, with
+    + commutative, 0 its identity and 0 absorbing for ·.  In each case the
+    set of elements where the law holds contains 0 and is closed under +,
+    so it contains every sum of elements of G, which is the whole carrier S:
 
     - **Additive associativity.**  Let A be the set of b with
       (x+b)+y = x+(b+y) for all x, y.  0 is in A.  If a and b are in A,
       so is a+b: (x+(a+b))+y = ((x+a)+b)+y = (x+a)+(b+y) = x+(a+(b+y))
-      = x+((a+b)+y), using a, b, a, b in A in turn.  So G ⊆ A gives A = S.
+      = x+((a+b)+y), using a, b, a, b in A in turn.
     - **Distributivity.**  With + associative, fix a and let D be the set
       of x with a(x+c) = ax+ac for all c.  0 is in D, as a0 = 0.  If x and
       y are in D, a((x+y)+c) = a(x+(y+c)) = ax+(ay+ac) = (ax+ay)+ac
-      = a(x+y)+ac, so x+y is in D.  So G ⊆ D gives D = S; the right law
-      is the mirror image.
+      = a(x+y)+ac, so x+y is in D.  The right law is the mirror image.
     - **Multiplicative associativity.**  With both distributive laws, let
       M be the set of b with (xb)y = x(by) for all x, y.  0 is in M, as
       both sides are 0.  If b and c are in M, (x(b+c))y = (xb)y+(xc)y
-      = x(by)+x(cy) = x((b+c)y), so M is closed under + (it is also
-      closed under ·, by the first argument).  So G ⊆ M gives M = S.
+      = x(by)+x(cy) = x((b+c)y).  (M is also closed under ·, by the
+      argument for A.)
 
-    So the gate passing means the scan would find nothing, and the list is
-    the same either way.
+    So when the laws hold at G the scan would find nothing, and the list
+    is the same either way.
     """
     n = len(add)
     rng = range(n)
@@ -269,8 +271,8 @@ def semiring_violations(add: Table, mul: Table, zero: int, one: int) -> list[Vio
 def _additive_generators(add: Table, zero: int) -> list[int]:
     """A set that generates the carrier under a commutative +, chosen
     greedily in index order: each element not yet reached is added, and the
-    reached set is closed by summing every newly reached element with every
-    reached one, so each pair is summed once over the whole walk."""
+    reached set is closed by summing each newly reached element with every
+    reached one, so the whole walk sums O(n²) pairs."""
     reached = [False] * len(add)
     reached[zero] = True
     members = [zero]
@@ -297,7 +299,8 @@ def _holds_on_additive_generators(add: Table, mul: Table, zero: int) -> bool:
     """Additive associativity, both distributive laws and multiplicative
     associativity at each additive generator g, as in
     :func:`semiring_violations`.  Each law is compared a row at a time:
-    ``itemgetter(*row)`` reads a table row through ``row`` in one call."""
+    ``itemgetter(*row)(t)`` is the row ``(t[row[0]], t[row[1]], ...)``,
+    built in one call."""
     add = tuple(map(tuple, add))
     mul = tuple(map(tuple, mul))
     cols = tuple(zip(*mul))
@@ -378,7 +381,8 @@ class SemimoduleTable:
     """A validated finite left semimodule over a SemiringTable.
 
     ``act[s][m]`` is the action of scalar ``s`` on element ``m``.  The hash
-    is the field-tuple hash, stored once, as for :class:`SemiringTable`.
+    is the field-tuple hash, stored once (``_hash``, not a dataclass field),
+    as for :class:`SemiringTable`.
     """
 
     base: SemiringTable

@@ -1,3 +1,5 @@
+import tempfile
+
 import pytest
 
 from finsemi.catalog import boolean_semiring, make_B, make_product
@@ -52,3 +54,25 @@ def _relabelled(s, pi):
 @pytest.fixture(scope="session")
 def relabelled():
     return _relabelled
+
+
+@pytest.fixture(scope="session")
+def catalog_fixtures():
+    """The eight named fixtures the auditor runs, as (name, table) pairs."""
+    from finsemi.auditor import _catalog_fixtures
+
+    return _catalog_fixtures()
+
+
+
+def pytest_configure(config):
+    """Keep hypothesis's caches (it stores the constants it reads from the
+    source while collecting) in a temporary directory that the run removes,
+    instead of ``.hypothesis/`` in the checkout."""
+    try:
+        from hypothesis.configuration import set_hypothesis_home_dir
+    except ImportError:
+        return
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)

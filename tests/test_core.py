@@ -4,6 +4,9 @@ Expected values are either forced by the definitions or computed by the
 inline brute-force oracles next to the assertion that freezes them.
 """
 
+import re
+from dataclasses import fields
+
 import pytest
 
 from finsemi.core import (
@@ -30,6 +33,7 @@ from finsemi.core import (
     subtractive_closure,
     universal_partition,
     v_and_k_sets,
+    validate_semimodule,
     validate_semiring,
     zero_module,
 )
@@ -86,6 +90,52 @@ def test_nonstandard_zero_one_positions():
     # the boolean semiring with its two elements swapped
     s = validate_semiring(((0, 0), (0, 1)), ((0, 1), (1, 1)), zero=1, one=0)
     assert s.zerosumfree
+
+
+@pytest.mark.parametrize("add, mul, zero, one, message", [
+    ([[False, True], [True, True]], [[0, 0], [0, 1]], 0, 1, "add[0][0] = False is not a valid index"),
+    ([[0, 1], [1, 1]], [[0, 0], [0, True]], 0, 1, "mul[1][1] = True is not a valid index"),
+    ([[0, 1], [1, 1]], [[0, 0], [0, 1]], False, True, "zero/one index out of range"),
+    ([[0, 1], [1, 1]], [[0, 0], [0, 1]], 0, True, "zero/one index out of range"),
+])
+def test_bool_entries_rejected(add, mul, zero, one, message):
+    # True and False are ints to Python, but the text format cannot read
+    # them back, so they are not indices
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        validate_semiring(add, mul, zero=zero, one=one)
+
+
+def test_bool_entries_rejected_in_semimodules(B):
+    with pytest.raises(ShapeError, match=r"act\[1\]\[1\] = True is not a valid index"):
+        validate_semimodule(B, B.add, [[0, 0], [0, True]], zero=0)
+    with pytest.raises(ShapeError, match="zero index out of range"):
+        validate_semimodule(B, B.add, B.mul, zero=False)
+
+
+def _field_tuple(t):
+    return tuple(getattr(t, f.name) for f in fields(t))
+
+
+def test_tables_store_the_dataclass_hash(catalog_fixtures):
+    import pickle
+    from dataclasses import make_dataclass
+
+    for name, s in catalog_fixtures:
+        again = validate_semiring([list(r) for r in s.add], [list(r) for r in s.mul],
+                                  zero=s.zero, one=s.one)
+        for t, fresh in ((s, again), (s.left_module(), again.left_module())):
+            unhashed = pickle.loads(pickle.dumps(fresh))
+            assert "_hash" not in vars(unhashed), name
+            assert hash(t) == hash(_field_tuple(t)), name
+            # the hash a frozen dataclass with the same fields generates
+            plain = make_dataclass("Plain", [f.name for f in fields(t)], frozen=True)
+            assert hash(t) == hash(plain(*_field_tuple(t))), name
+            assert t is not fresh and t == fresh and hash(t) == hash(fresh), name
+            assert "_hash" not in {f.name for f in fields(t)}
+            assert "_hash" in vars(t) and str(hash(t)) not in repr(t), name
+            back = pickle.loads(pickle.dumps(t))
+            assert back == t and hash(back) == hash(t) == hash(_field_tuple(back)), name
+            assert unhashed == t and hash(unhashed) == hash(t), name
 
 
 # ---------------------------------------------------------------------------

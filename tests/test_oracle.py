@@ -563,3 +563,23 @@ def test_semiring_enumeration_against_all_tables(commutative):
     for order in (2, 3, 4):
         engine = [(s.add, s.mul) for s in enumerate_semirings(order, commutative)]
         assert engine == oracle.semirings(order, commutative), order
+
+
+def test_generator_gate_against_all_order_three_candidates():
+    # every symmetric addition with 0 as identity and every multiplication
+    # with 0 absorbing and 1 as identity: the quadratic axioms hold, so the
+    # verdict rests on the additive-generator gate alone
+    from itertools import product
+
+    from finsemi.core import _holds_on_additive_generators, semiring_violations
+
+    rng = range(3)
+    verdicts = []
+    for a11, a12, a22, m22 in product(rng, repeat=4):
+        add = ((0, 1, 2), (1, a11, a12), (2, a12, a22))
+        mul = ((0, 0, 0), (0, 1, 2), (0, 2, m22))
+        naive = oracle._is_semiring(add, mul)
+        assert _holds_on_additive_generators(add, mul, 0) == naive, (add, mul)
+        assert (semiring_violations(add, mul, 0, 1) == []) == naive, (add, mul)
+        verdicts.append(naive)
+    assert len(verdicts) == 81 and 0 < sum(verdicts) < 81

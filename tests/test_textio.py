@@ -54,6 +54,13 @@ def test_semimodule_roundtrip(B31):
     assert parsed.semimodules[0].act == m.act
 
 
+def test_every_catalog_fixture_round_trips(catalog_fixtures):
+    for name, s in catalog_fixtures:
+        parsed = parse_text(emit_semimodule(s.left_module()))
+        assert parsed.semirings == [s], name
+        assert parsed.semimodules == [s.left_module()], name
+
+
 def test_semimodule_without_semiring_rejected():
     with pytest.raises(ParseError):
         parse_text("semimodule\norder 1\nzero 0\nadd\n0\nact\n0\n")
