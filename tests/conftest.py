@@ -64,7 +64,6 @@ def catalog_fixtures():
     return _catalog_fixtures()
 
 
-
 def pytest_configure(config):
     """Keep hypothesis's caches (it stores the constants it reads from the
     source while collecting) in a temporary directory that the run removes,
