@@ -12,11 +12,12 @@ subsemimodule lattices, generated subsemimodules and hom sets of small
 modules, the subtractive lattices of additively idempotent modules read
 off their principal down-sets, the four projectivity and injectivity deciders against naive Hom
 sequences, the congruence-simplicity of ``E(M3)`` and ``E(N5)`` above the
-brute-force cap, through the oracle's translation certificate, and the list
-of semirings of order at most 4 up to isomorphism.
+brute-force cap, through the oracle's translation certificate, the list
+of semirings of order at most 4 up to isomorphism, and the additive-generator
+gate of ``semiring_violations`` on every order-3 candidate table.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -36,6 +37,7 @@ from finsemi.core import (
     DEFAULT_LIMITS,
     Limits,
     SubStructure,
+    _holds_on_additive_generators,
     bits,
     bourne_congruence,
     congruence_closure,
@@ -45,6 +47,7 @@ from finsemi.core import (
     linear_map_violations,
     product_module,
     quotient_by_congruence,
+    semiring_violations,
     sub_module,
     subtractive_closure,
 )
@@ -569,10 +572,6 @@ def test_generator_gate_against_all_order_three_candidates():
     # every symmetric addition with 0 as identity and every multiplication
     # with 0 absorbing and 1 as identity: the quadratic axioms hold, so the
     # verdict rests on the additive-generator gate alone
-    from itertools import product
-
-    from finsemi.core import _holds_on_additive_generators, semiring_violations
-
     rng = range(3)
     verdicts = []
     for a11, a12, a22, m22 in product(rng, repeat=4):
