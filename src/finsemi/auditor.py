@@ -29,6 +29,7 @@ from .core import (
     enumerate_congruences,
     enumerate_subsemimodules,
     sub_module,
+    subtractive_closure,
 )
 from .errors import LimitExceeded
 from .homs import (
@@ -54,6 +55,7 @@ from .semisimple import (
 )
 from .summands import (
     _longest_chain,
+    _sumset,
     decomposition_from_parts,
     golan_condition3,
     is_direct_sum,
@@ -545,7 +547,7 @@ def lemma_suite(s: SemiringTable, limits: Limits = DEFAULT_LIMITS,
                 witness = f"{_fmt_mask(sub.members)}: {via_comp}/{via_pairs}/{via_cond3}"
         # d-iso (2): M = K + L direct implies M/K iso L
         for a, b in pair_sums:
-            quot, _ = bourne_quotient(mod, SubStructure(mod, a.subtractive_closure_members))
+            quot, _ = bourne_quotient(mod, subtractive_closure(a))
             if not are_isomorphic(quot, sub_module(b)[0]):
                 diso_ok = False
         # lemint: subtractive N, mod = L + K direct, L <= N  =>  N = L + (K n N)
@@ -592,18 +594,10 @@ def lemma_suite(s: SemiringTable, limits: Limits = DEFAULT_LIMITS,
 
 
 def _direct_inside(mod: SemimoduleTable, nmask: int, lmask: int, kmask: int) -> bool:
-    """nmask = lmask + kmask with unique representations, inside mod."""
-    reached = {}
-    for x in bits(lmask):
-        row = mod.add[x]
-        for y in bits(kmask):
-            z = row[y]
-            if not nmask >> z & 1:
-                return False
-            if z in reached and reached[z] != (x, y):
-                return False
-            reached[z] = (x, y)
-    return set(reached) == set(bits(nmask))
+    """nmask = lmask + kmask with unique representations, inside mod: the
+    sums cover nmask, and there are no more pairs than elements to cover."""
+    return (_sumset(mod, lmask, kmask) == nmask
+            and lmask.bit_count() * kmask.bit_count() == nmask.bit_count())
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +616,7 @@ def einj_witness_construction_ok(s: SemiringTable,
         comask = poset.complements.get(sub.members)
         if comask is None:
             continue
-        parts = [SubStructure(m, sub.members), SubStructure(m, comask)]
+        parts = [sub, SubStructure(m, comask)]
         dec = decomposition_from_parts(m, parts)
         e_n = dec.projections[1].image_of[s.one]
         part_mod, to_parent = sub_module(parts[0])

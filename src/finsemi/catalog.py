@@ -14,6 +14,9 @@ from .core import (
     Limits,
     SemiringTable,
     Table,
+    _as_table,
+    _check_entries,
+    _check_indices,
     validate_semimodule,
     validate_semiring,
 )
@@ -22,7 +25,6 @@ from .errors import (
     InvalidParameters,
     LimitExceeded,
     NotDistributive,
-    ShapeError,
     Violation,
 )
 from .homs import enumerate_homs
@@ -151,10 +153,13 @@ class LatticeSpec:
 def validate_lattice(join: Sequence[Sequence[int]], bottom: int, top: int,
                      meet: Sequence[Sequence[int]] | None = None) -> LatticeSpec:
     n = len(join)
-    join_t = tuple(tuple(row) for row in join)
-    for r, row in enumerate(join_t):
-        if len(row) != n:
-            raise ShapeError(f"join row {r} has wrong length")
+    join_t = _as_table(join, n, n, "join")
+    _check_entries(join_t, n, "join")
+    meet_t = None
+    if meet is not None:
+        meet_t = _as_table(meet, n, n, "meet")
+        _check_entries(meet_t, n, "meet")
+    _check_indices(n, "bottom/top", bottom, top)
     bad: list[Violation] = []
     for a in range(n):
         if join_t[a][a] != a:
@@ -169,9 +174,7 @@ def validate_lattice(join: Sequence[Sequence[int]], bottom: int, top: int,
             for c in range(n):
                 if join_t[join_t[a][b]][c] != join_t[a][join_t[b][c]]:
                     bad.append(Violation("join-associative", (a, b, c)))
-    meet_t = None
-    if meet is not None:
-        meet_t = tuple(tuple(row) for row in meet)
+    if meet_t is not None:
         for a in range(n):
             for b in range(n):
                 if meet_t[a][join_t[a][b]] != a or join_t[a][meet_t[a][b]] != a:

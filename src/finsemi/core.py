@@ -12,7 +12,10 @@ A value the engine derives from checked values (a composite of linear maps,
 a quotient by a congruence the engine built, the table of End(M), a table
 whose axiom instances the semiring enumeration checked cell by cell) is
 correct by construction and is built unchecked, through :func:`_linear_map`,
-:func:`_quotient` and :func:`_semiring_table`.
+:func:`_quotient` and :func:`_semiring_table`.  A :class:`SubStructure` is
+checked once, when it is built, by its closure (:func:`_closure_mask`).  The
+image of a linear map is closed by linearity, so engine code that needs only
+a predicate on an image works on the image mask and builds no SubStructure.
 
 Derived structure that depends on one module alone is stored on its table,
 outside the dataclass fields: its subtractive lattice (see
@@ -137,6 +140,12 @@ def _check_entries(tab: Table, bound: int, what: str) -> None:
         for c, v in enumerate(row):
             if v >= bound:
                 raise ShapeError(f"{what}[{r}][{c}] = {v} out of range 0..{bound - 1}")
+
+
+def _check_indices(n: int, what: str, *values) -> None:
+    """Each of ``values`` is an index into a carrier of ``n`` elements."""
+    if not all(_is_index(v) and 0 <= v < n for v in values):
+        raise ShapeError(f"{what} index out of range")
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +338,7 @@ def validate_semiring(add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]]
     mul_t = _as_table(mul, n, n, "mul")
     _check_entries(add_t, n, "add")
     _check_entries(mul_t, n, "mul")
-    if not (_is_index(zero) and _is_index(one)) or not 0 <= zero < n or not 0 <= one < n:
-        raise ShapeError("zero/one index out of range")
+    _check_indices(n, "zero/one", zero, one)
     violations = semiring_violations(add_t, mul_t, zero, one)
     if violations:
         raise AxiomViolations(violations)
@@ -468,8 +476,7 @@ def validate_semimodule(base: SemiringTable, add: Sequence[Sequence[int]],
     act_t = _as_table(act, base.order, n, "act")
     _check_entries(add_t, n, "add")
     _check_entries(act_t, n, "act")
-    if not _is_index(zero) or not 0 <= zero < n:
-        raise ShapeError("zero index out of range")
+    _check_indices(n, "zero", zero)
     violations = semimodule_violations(base, add_t, act_t, zero)
     if violations:
         raise AxiomViolations(violations)
@@ -513,16 +520,13 @@ class SubStructure:
 
     def __post_init__(self):
         m, mask = self.parent, self.members
+        if not _is_index(mask) or mask < 0 or mask >> m.order:
+            raise ShapeError(f"members {mask!r} is not a subset of the {m.order} elements")
         if not mask >> m.zero & 1:
             raise IncompatiblePartition("substructure must contain zero")
-        for x in bits(mask):
-            row = m.add[x]
-            for y in bits(mask):
-                if not mask >> row[y] & 1:
-                    raise IncompatiblePartition(f"not closed under addition at ({x}, {y})")
-            for s in range(m.base.order):
-                if not mask >> m.act[s][x] & 1:
-                    raise IncompatiblePartition(f"not closed under the action at ({s}, {x})")
+        escaped = _closure_mask(m, mask) & ~mask
+        if escaped:
+            raise IncompatiblePartition(f"not closed: the closure adds {sorted(bits(escaped))}")
 
     def elements(self) -> Iterator[int]:
         return bits(self.members)
@@ -807,15 +811,10 @@ def bourne_congruence(m: SemimoduleTable, sub: SubStructure) -> CongruencePartit
     """The congruence with x ~ y iff x + n = y + n' for some n, n' in ``sub``."""
     if sub.parent != m:
         raise IncompatiblePartition("substructure belongs to a different module")
-    n = m.order
+    # an equivalence (see _reach): each class is named by its least member
     reach = _reach(m.add, sub.members)
-    uf = _UnionFind(n)
-    for a in range(n):
-        ra = reach[a]
-        for b in range(a + 1, n):
-            if ra & reach[b]:
-                uf.union(a, b)
-    part = CongruencePartition(m, _normalize_class_of([uf.find(x) for x in range(n)]))
+    least = [next(a for a in range(x + 1) if reach[a] & reach[x]) for x in range(m.order)]
+    part = CongruencePartition(m, _normalize_class_of(least))
     # the kernel of the canonical projection is exactly the subtractive closure
     if part.zero_class_mask() != sub.subtractive_closure_members:
         raise IncompatiblePartition("zero class differs from the subtractive closure")
@@ -824,7 +823,15 @@ def bourne_congruence(m: SemimoduleTable, sub: SubStructure) -> CongruencePartit
 
 def _reach(add: Table, mask: int) -> list[int]:
     """``reach[x]`` is the mask of x + u over u in ``mask``; x and y are
-    Bourne-related through ``mask`` when their reaches meet."""
+    Bourne-related through ``mask`` when their reaches meet.
+
+    Precondition: ``mask`` holds zero and is closed under +.  Then "the
+    reaches meet" is already an equivalence, with no transitive closure to
+    take: it is reflexive (x + 0 = x + 0) and symmetric, and from
+    x + u1 = y + u2 and y + u3 = z + u4 with every ui in the mask follows
+    x + (u1 + u3) = y + u2 + u3 = z + (u2 + u4), with both sums in the
+    mask.  If the mask is closed under the action too, it is a congruence:
+    x + u1 = y + u2 gives (x + c) + u1 = (y + c) + u2 and s.x + s.u1 = s.y + s.u2."""
     members = list(bits(mask))
     out = []
     for row in add:
@@ -850,16 +857,14 @@ def bourne_quotient(m: SemimoduleTable, sub: SubStructure) -> tuple[SemimoduleTa
 def _is_k_normal(add: Table, image_of: Sequence[int], kernel_mask: int) -> bool:
     """Whether a map given by ``image_of`` on a carrier with addition ``add``
     is k-normal: f(x) = f(y) implies x + k = y + k' for some k, k' in the
-    kernel."""
+    kernel.  A kernel holds zero and is closed under +, so that relation is
+    an equivalence (see :func:`_reach`), and each fibre is compared with its
+    first element only."""
     reach = _reach(add, kernel_mask)
-    by_value: dict[int, list[int]] = {}
+    first: dict[int, int] = {}
     for x, v in enumerate(image_of):
-        by_value.setdefault(v, []).append(x)
-    for xs in by_value.values():
-        for i, x in enumerate(xs):
-            for y in xs[i + 1:]:
-                if not reach[x] & reach[y]:
-                    return False
+        if not reach[first.setdefault(v, x)] & reach[x]:
+            return False
     return True
 
 
@@ -910,6 +915,7 @@ class LinearMap:
     image_of: tuple[int, ...]
 
     def __post_init__(self):
+        _check_indices(self.target.order, "image_of", *self.image_of)
         bad = linear_map_violations(self.source, self.target, self.image_of)
         if bad:
             raise AxiomViolations(bad)

@@ -19,6 +19,7 @@ from .core import (
     _cyclic_generator,
     _is_k_normal,
     _linear_map,
+    _subtractive_closure_mask,
     bourne_quotient,
     linear_map_violations,
     zero_map,
@@ -316,7 +317,8 @@ class NormalityProfile:
 
 def normality_profile(f: LinearMap) -> NormalityProfile:
     k_normal = _is_k_normal(f.source.add, f.image_of, f.kernel_mask())
-    i_normal = SubStructure(f.target, f.image_mask()).is_subtractive()
+    img = f.image_mask()
+    i_normal = _subtractive_closure_mask(f.target, img) == img
     return NormalityProfile(k_normal=k_normal, i_normal=i_normal)
 
 
@@ -391,10 +393,10 @@ class JunctionClass:
 def classify_junction(f: LinearMap, g: LinearMap) -> JunctionClass:
     if f.target != g.source:
         raise NotComposable("junction maps do not meet")
-    img = SubStructure(f.target, f.image_mask())
+    img = f.image_mask()
     ker_mask = g.kernel_mask()
-    proper = img.members == ker_mask
-    semi = img.subtractive_closure_members == ker_mask
+    proper = img == ker_mask
+    semi = _subtractive_closure_mask(f.target, img) == ker_mask
     exact = proper and normality_profile(g).k_normal
     return JunctionClass(proper_exact=proper, semi_exact=semi, exact=exact)
 
@@ -426,30 +428,17 @@ def short_exact_equivalences(seq: SequenceSpec) -> dict[str, bool]:
     f, g = seq.maps[1], seq.maps[2]
     exact = is_short_exact(seq)
 
-    explicit = (
-        f.is_injective()
-        and f.image_mask() == g.kernel_mask()
-        and g.is_surjective()
-        and normality_profile(g).k_normal
-    )
+    embeds = f.is_injective() and f.image_mask() == g.kernel_mask()
+    explicit = embeds and g.is_surjective() and normality_profile(g).k_normal
 
     iso = False
-    if f.is_injective() and f.image_mask() == g.kernel_mask():
-        # f corestricted to its image is then automatically an isomorphism
-        img_sub = SubStructure(m, f.image_mask())
-        if img_sub.is_subtractive():
-            quot, proj = bourne_quotient(m, img_sub)
-            induced = [-1] * quot.order
-            ok = True
-            for x in range(m.order):
-                c = proj.image_of[x]
-                v = g.image_of[x]
-                if induced[c] not in (-1, v):
-                    ok = False
-                    break
-                induced[c] = v
-            induced = tuple(induced)
-            if ok and not linear_map_violations(quot, n, induced):
-                witness = _linear_map(quot, n, induced)
-                iso = witness.is_injective() and witness.is_surjective()
+    if embeds:
+        # f corestricted to its image is then automatically an isomorphism,
+        # and the image is subtractive, as every kernel is
+        quot, proj = bourne_quotient(m, SubStructure(m, f.image_mask()))
+        # g induces a map on M/f(L) iff it is constant on each class
+        induced = tuple(v for _, v in sorted(set(zip(proj.image_of, g.image_of))))
+        if len(induced) == quot.order and not linear_map_violations(quot, n, induced):
+            witness = _linear_map(quot, n, induced)
+            iso = witness.is_injective() and witness.is_surjective()
     return {"exact": exact, "iso": iso, "explicit": explicit}

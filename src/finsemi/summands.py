@@ -13,9 +13,9 @@ from .core import (
     SemimoduleTable,
     SemiringTable,
     SubStructure,
+    _reach,
     _semiring_table,
     bits,
-    bourne_congruence,
     full_mask,
     sub_module,
 )
@@ -246,14 +246,15 @@ def summand_poset(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS) -> Summan
 
 
 def _restrictions_trivial(m: SemimoduleTable, n_mask: int, n2_mask: int) -> bool:
-    """Bourne relation of each part restricted to the other is the diagonal."""
+    """Bourne relation of each part restricted to the other is the diagonal:
+    the other part's reaches (:func:`core._reach`) are pairwise disjoint."""
     for a_mask, b_mask in ((n_mask, n2_mask), (n2_mask, n_mask)):
-        rho = bourne_congruence(m, SubStructure(m, a_mask))
-        members = list(bits(b_mask))
-        for i, x in enumerate(members):
-            for y in members[i + 1:]:
-                if rho.related(x, y):
-                    return False
+        reach = _reach(m.add, a_mask)
+        seen = 0
+        for x in bits(b_mask):
+            if reach[x] & seen:
+                return False
+            seen |= reach[x]
     return True
 
 

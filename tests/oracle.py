@@ -135,6 +135,25 @@ def bourne_classes(m: Module, ideal) -> list[list[int]]:
     return _classes(m.order, _transitive_closure(m.order, rel))
 
 
+def is_k_normal(m: Module, f: Sequence[int]) -> bool:
+    """f(x) = f(y) implies x + k = y + k' for some k, k' in the kernel,
+    checked on every pair."""
+    ker = [x for x in range(m.order) if f[x] == f[m.zero]]
+    return all(any(m.add[x][k] == m.add[y][j] for k in ker for j in ker)
+               for x in range(m.order) for y in range(m.order) if f[x] == f[y])
+
+
+def golan_condition3(m: Module, sub, others) -> bool:
+    """Some N' among ``others`` has M = N + N', with each Bourne relation
+    (:func:`bourne_classes`) meeting the other part in single elements."""
+    def trivial_on(ideal, part) -> bool:
+        return all(len(set(c) & set(part)) <= 1 for c in bourne_classes(m, ideal))
+
+    return any({m.add[x][y] for x in sub for y in other} == set(range(m.order))
+               and trivial_on(sub, other) and trivial_on(other, sub)
+               for other in others)
+
+
 def is_congruence(m: Module, classes: list[list[int]]) -> bool:
     cls = {x: k for k, c in enumerate(classes) for x in c}
     return (all(cls[m.add[x][z]] == cls[m.add[y][z]]

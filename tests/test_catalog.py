@@ -1,5 +1,7 @@
 """Constructors for the named families, checked against independent builds."""
 
+import re
+
 import pytest
 
 from finsemi.catalog import (
@@ -16,7 +18,13 @@ from finsemi.catalog import (
 )
 from finsemi import catalog
 from finsemi.core import Limits, v_and_k_sets
-from finsemi.errors import DegenerateStructure, InvalidParameters, LimitExceeded, NotDistributive
+from finsemi.errors import (
+    DegenerateStructure,
+    InvalidParameters,
+    LimitExceeded,
+    NotDistributive,
+    ShapeError,
+)
 
 
 def _zn_tables(n):
@@ -87,6 +95,20 @@ def test_pentagon_shape():
     lat = pentagon_n5()
     assert lat.join[1][2] == 4 and lat.join[1][3] == 3
     assert distributivity_witness(lat) is not None
+
+
+@pytest.mark.parametrize("join, bottom, top, meet, message", [
+    ([[0, 1], [1, 1]], -2, 1, [[0, 0], [0, 1]], "bottom/top index out of range"),
+    ([[0, 1], [1, 1]], 0, 5, None, "bottom/top index out of range"),
+    ([[0, 1], [1, 1]], False, 1, None, "bottom/top index out of range"),
+    ([[0, 1], [1, 7]], 0, 1, None, "join[1][1] = 7 out of range 0..1"),
+    ([[0, 1], [1, -1]], 0, 1, None, "join[1][1] = -1 is not a valid index"),
+    ([[0, 1], [1, 1]], 0, 1, [[0, 0], [0, 2]], "meet[1][1] = 2 out of range 0..1"),
+    ([[0, 1], [1, 1]], 0, 1, [[0, 0]], "meet: expected 2 rows, got 1"),
+])
+def test_validate_lattice_rejects_indices_outside_the_carrier(join, bottom, top, meet, message):
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        catalog.validate_lattice(join, bottom, top, meet)
 
 
 def test_lattice_from_leq_rejects_joinless_posets():

@@ -190,3 +190,26 @@ def test_catalog_lattice_distributive_only(tmp_path, capsys):
     m3 = tmp_path / "m3.lat"
     m3.write_text(emit_lattice(diamond_m3()), encoding="utf-8")
     assert run(["catalog", "lattice", str(m3)]) == 1
+
+
+def test_validate_rejects_a_map_image_outside_the_target(b31_file, tmp_path, capsys):
+    path = tmp_path / "map.sr"
+    path.write_text(B31_TEXT + "map\nsource 0\ntarget 0\nimages 0 1 9\n", encoding="utf-8")
+    assert run(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: image_of index out of range\n"
+
+
+@pytest.mark.parametrize("bad", ["top 5", "join entry 7"])
+def test_catalog_lattice_rejects_indices_outside_the_carrier(tmp_path, capsys, bad):
+    from finsemi.catalog import chain_lattice
+    from finsemi.textio import emit_lattice
+
+    text = emit_lattice(chain_lattice(3))
+    text = text.replace("top 2", "top 5") if bad == "top 5" else text.replace("2 2 2", "2 7 2")
+    assert text != emit_lattice(chain_lattice(3))
+    path = tmp_path / "bad.lat"
+    path.write_text(text, encoding="utf-8")
+    assert run(["catalog", "lattice", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")

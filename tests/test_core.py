@@ -11,6 +11,7 @@ import pytest
 
 from finsemi.core import (
     CongruencePartition,
+    LinearMap,
     Limits,
     SubStructure,
     _scalar_rows,
@@ -747,10 +748,24 @@ def test_semiring_congruences_refine_module_congruences():
 
 def test_substructure_must_be_closed(B31):
     m = B31.left_module()
-    with pytest.raises(IncompatiblePartition):
+    with pytest.raises(IncompatiblePartition, match=re.escape("closure adds [2]")):
         SubStructure(m, 0b011)  # 1 + 1 = 2 escapes {0, 1}
     with pytest.raises(IncompatiblePartition):
         SubStructure(m, 0b100)  # missing zero
+
+
+@pytest.mark.parametrize("members", [0b1001, 1 << 10 | 1, -1, True],
+                         ids=["bit 3", "bit 10", "negative", "bool"])
+def test_substructure_rejects_masks_outside_the_carrier(B31, members):
+    with pytest.raises(ShapeError, match="is not a subset of the 3 elements"):
+        SubStructure(B31.left_module(), members)
+
+
+@pytest.mark.parametrize("image_of", [(0, 1, 9), (0, 1, -1), (0, True, 2), (0, 1.0, 2)])
+def test_linear_map_rejects_entries_outside_the_target(B31, image_of):
+    m = B31.left_module()
+    with pytest.raises(ShapeError, match="image_of index out of range"):
+        LinearMap(m, m, image_of)
 
 
 # ---------------------------------------------------------------------------

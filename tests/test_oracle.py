@@ -9,7 +9,9 @@ semiring-level ideal- and congruence-simplicity verdicts, and their
 witnesses, on every small semiring, the congruence lattices and
 principal congruences of small modules and semirings, the
 subsemimodule lattices, generated subsemimodules and hom sets of small
-modules, the subtractive lattices of additively idempotent modules read
+modules, which masks ``SubStructure`` accepts, the Bourne congruence of
+every subsemimodule, the normality of every hom and Golan's condition 3
+on small modules, the subtractive lattices of additively idempotent modules read
 off their principal down-sets, the four projectivity and injectivity deciders against naive Hom
 sequences, the congruence-simplicity of ``E(M3)`` and ``E(N5)`` above the
 brute-force cap, through the oracle's translation certificate, the list
@@ -35,6 +37,7 @@ from finsemi.catalog import (
 )
 from finsemi.core import (
     DEFAULT_LIMITS,
+    LinearMap,
     Limits,
     SubStructure,
     _holds_on_additive_generators,
@@ -50,8 +53,10 @@ from finsemi.core import (
     semiring_violations,
     sub_module,
     subtractive_closure,
+    validate_semiring,
 )
-from finsemi.homs import are_isomorphic, enumerate_homs, find_isomorphism
+from finsemi.errors import IncompatiblePartition
+from finsemi.homs import are_isomorphic, enumerate_homs, find_isomorphism, normality_profile
 from finsemi.projinj import (
     bounded_family,
     is_e_injective,
@@ -60,6 +65,7 @@ from finsemi.projinj import (
     is_k_projective,
 )
 from finsemi.semisimple import condition_profile, semiring_simplicity_profile
+from finsemi.summands import golan_condition3
 
 
 def _engine_lists(m, subtractive_only=False):
@@ -468,6 +474,90 @@ def test_two_generator_subsemimodules_of_squares():
         for a, b in combinations(range(p.order), 2):
             got = generated_subsemimodule(p, [a, b]).members
             assert set(bits(got)) == oracle.generated_submodule(naive, [a, b]), (name, a, b)
+
+
+# ---------------------------------------------------------------------------
+# the substructure primitives: the closure check and the Bourne relation
+
+
+def _substructure_sweep():
+    """The modules of :func:`_closure_sweep` and B + B, the sum of two
+    Boolean left modules, which has no cyclic generator."""
+    mb = boolean_semiring().left_module()
+    return _closure_sweep() + [("B+B", product_module(mb, mb))]
+
+
+def test_substructures_are_exactly_the_subsemimodules():
+    for name, m in _substructure_sweep():
+        naive = oracle.as_module(m)
+        for mask in range(1 << m.order):
+            try:
+                SubStructure(m, mask)
+                accepted = True
+            except IncompatiblePartition:
+                accepted = False
+            assert accepted == oracle.is_submodule(naive, frozenset(bits(mask))), (name, mask)
+
+
+def test_bourne_congruences_of_every_subsemimodule():
+    # the oracle closes the defining relation transitively; the engine reads
+    # classes off meeting reaches, which needs no closure
+    kinds = set()
+    for name, m in _substructure_sweep():
+        naive = oracle.as_module(m)
+        for members in oracle.submodules(naive):
+            rho = bourne_congruence(m, SubStructure(m, sum(1 << x for x in members)))
+            assert [sorted(bits(c)) for c in rho.class_masks()] == \
+                oracle.bourne_classes(naive, members), (name, members)
+            kinds.add(oracle.is_subtractive(naive, frozenset(members)))
+    assert kinds == {False, True}
+
+
+def _same_base_pairs():
+    """(source, target) pairs over one base among the left modules of
+    order at most 4 and B + B."""
+    pairs = [(name, m, m) for name, m in _substructure_sweep() if m.order <= 4]
+    mb = boolean_semiring().left_module()
+    bb = product_module(mb, mb)
+    return pairs + [("B->B+B", mb, bb), ("B+B->B", bb, mb)]
+
+
+def test_normality_profiles_of_every_hom():
+    verdicts = set()
+    for name, a, b in _same_base_pairs():
+        naive_a, naive_b = oracle.as_module(a), oracle.as_module(b)
+        for image_of in oracle.homs(naive_a, naive_b):
+            got = normality_profile(LinearMap(a, b, image_of))
+            want = (oracle.is_k_normal(naive_a, image_of),
+                    oracle.is_subtractive(naive_b, frozenset(image_of)))
+            assert (got.k_normal, got.i_normal) == want, (name, image_of)
+            verdicts.add(want)
+    assert len(verdicts) == 4
+
+
+def _one_sided_restrictions():
+    """Two semirings of order 5 with M = {0, 3} + {0, 2, 4}, where the Bourne
+    relation of {0, 2, 4} restricted to {0, 3} is the diagonal, while that
+    of {0, 3} relates 0 and 4, as 0 + 3 = 4 + 3 = 3: Golan's condition 3
+    must test both restrictions."""
+    add = [[0, 1, 2, 3, 4], [1, 1, 1, 1, 1], [2, 1, 2, 1, 2], [3, 1, 1, 3, 3], [4, 1, 2, 3, 4]]
+    rows = [[[0, 2, 2, 0, 0], [0, 4, 4, 0, 0]], [[0, 2, 2, 4, 4], [0, 4, 4, 4, 4]]]
+    for k, (two, four) in enumerate(rows):
+        mul = [[0] * 5, [0, 1, 2, 3, 4], two, [0, 3, 4, 3, 4], four]
+        yield f"order 5, index {k}", validate_semiring(add, mul, zero=0, one=1).left_module()
+
+
+def test_golan_condition3_of_every_subsemimodule():
+    verdicts = set()
+    for name, m in [*_substructure_sweep(), *_one_sided_restrictions()]:
+        naive = oracle.as_module(m)
+        subs = oracle.submodules(naive)
+        engine_subs = [SubStructure(m, sum(1 << x for x in t)) for t in subs]
+        for t, sub in zip(subs, engine_subs):
+            want = oracle.golan_condition3(naive, t, subs)
+            assert golan_condition3(m, sub, engine_subs) == want, (name, t)
+            verdicts.add(want)
+    assert verdicts == {False, True}
 
 
 # ---------------------------------------------------------------------------
