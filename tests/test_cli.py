@@ -192,7 +192,7 @@ def test_catalog_lattice_distributive_only(tmp_path, capsys):
     assert run(["catalog", "lattice", str(m3)]) == 1
 
 
-def test_validate_rejects_a_map_image_outside_the_target(b31_file, tmp_path, capsys):
+def test_validate_rejects_a_map_image_outside_the_target(tmp_path, capsys):
     path = tmp_path / "map.sr"
     path.write_text(B31_TEXT + "map\nsource 0\ntarget 0\nimages 0 1 9\n", encoding="utf-8")
     assert run(["validate", str(path)]) == 1

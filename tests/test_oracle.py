@@ -535,21 +535,19 @@ def test_normality_profiles_of_every_hom():
     assert len(verdicts) == 4
 
 
-def _one_sided_restrictions():
-    """Two semirings of order 5 with M = {0, 3} + {0, 2, 4}, where the Bourne
-    relation of {0, 2, 4} restricted to {0, 3} is the diagonal, while that
-    of {0, 3} relates 0 and 4, as 0 + 3 = 4 + 3 = 3: Golan's condition 3
-    must test both restrictions."""
+def _one_sided_restriction():
+    """A semiring of order 5 whose left module is {0, 3} + {0, 2, 4}, where
+    the Bourne relation of {0, 2, 4} restricted to {0, 3} is the diagonal,
+    while that of {0, 3} relates 0 and 4, as 0 + 3 = 4 + 3 = 3: Golan's
+    condition 3 must test both restrictions."""
     add = [[0, 1, 2, 3, 4], [1, 1, 1, 1, 1], [2, 1, 2, 1, 2], [3, 1, 1, 3, 3], [4, 1, 2, 3, 4]]
-    rows = [[[0, 2, 2, 0, 0], [0, 4, 4, 0, 0]], [[0, 2, 2, 4, 4], [0, 4, 4, 4, 4]]]
-    for k, (two, four) in enumerate(rows):
-        mul = [[0] * 5, [0, 1, 2, 3, 4], two, [0, 3, 4, 3, 4], four]
-        yield f"order 5, index {k}", validate_semiring(add, mul, zero=0, one=1).left_module()
+    mul = [[0] * 5, [0, 1, 2, 3, 4], [0, 2, 2, 0, 0], [0, 3, 4, 3, 4], [0, 4, 4, 0, 0]]
+    return ("order 5", validate_semiring(add, mul, zero=0, one=1).left_module())
 
 
 def test_golan_condition3_of_every_subsemimodule():
     verdicts = set()
-    for name, m in [*_substructure_sweep(), *_one_sided_restrictions()]:
+    for name, m in [*_substructure_sweep(), _one_sided_restriction()]:
         naive = oracle.as_module(m)
         subs = oracle.submodules(naive)
         engine_subs = [SubStructure(m, sum(1 << x for x in t)) for t in subs]
