@@ -31,7 +31,6 @@ from .core import (
     sub_module,
     subtractive_closure,
 )
-from .errors import LimitExceeded
 from .homs import (
     are_isomorphic,
     enumerate_homs,
@@ -252,10 +251,8 @@ class InstanceFacts:
         self.limits = limits
         self.scope = scope
         self.m = s.left_module()
-        subt = enumerate_subsemimodules(self.m, limits, subtractive_only=True)
-        if not subt.exhaustive:
-            raise LimitExceeded("subtractive ideal enumeration truncated")
-        self.subtractive = list(subt)
+        self.subtractive = list(enumerate_subsemimodules(
+            self.m, limits, subtractive_only=True).exhaustive_items("subtractive ideal enumeration"))
         self.poset = summand_poset(self.m, limits)
         self.cprofile = condition_profile(s, limits)
         # C1, read off the same subtractive lattice and summand poset
@@ -501,7 +498,8 @@ def _idsske_items(f: InstanceFacts) -> tuple[dict, dict]:
 def lemma_suite(s: SemiringTable, limits: Limits = DEFAULT_LIMITS,
                 instance: str = "") -> list[ClaimRecord]:
     """Hard per-instance checks of the supporting lemmas, over the module
-    family of s (its left module plus every subobject and quotient)."""
+    family of s (its left module plus every subobject and quotient).
+    Raises :class:`LimitExceeded` when a search they read is truncated."""
     instance = instance or f"sr{s.order}-{instance_digest(s)}"
     m = s.left_module()
     out: list[ClaimRecord] = []
@@ -576,10 +574,12 @@ def lemma_suite(s: SemiringTable, limits: Limits = DEFAULT_LIMITS,
         quots = [_quotient(mod, rho)[0]
                  for rho in enumerate_congruences(mod, limits)]
         l_mods = [sub_module(sub)[0] for sub in subs]
+        g_lists = [(qmod, enumerate_homs(mod, qmod, limits).exhaustive_items("hom enumeration"))
+                   for qmod in quots]
         for lmod in l_mods:
-            for fmap in enumerate_homs(lmod, mod, limits):
-                for qmod in quots:
-                    for gmap in enumerate_homs(mod, qmod, limits):
+            for fmap in enumerate_homs(lmod, mod, limits).exhaustive_items("hom enumeration"):
+                for qmod, gmaps in g_lists:
+                    for gmap in gmaps:
                         seq = zero_flanked(lmod, fmap, mod, gmap, qmod)
                         flags = short_exact_equivalences(seq)
                         if not flags["exact"] == flags["iso"] == flags["explicit"]:
@@ -609,7 +609,8 @@ def einj_witness_construction_ok(s: SemiringTable,
                                  limits: Limits = DEFAULT_LIMITS) -> bool:
     """When a subtractive ideal splits off, any extension h of g along the
     inclusion must equal (g o projection) + s -> (s e') h(1), for every h
-    into a member j of ``family`` (as :func:`bounded_family` builds it)."""
+    into a member j of ``family`` (as :func:`bounded_family` builds it).
+    Raises :class:`LimitExceeded` on a truncated hom search."""
     m = s.left_module()
     poset = summand_poset(m, limits)
     for sub in enumerate_subsemimodules(m, limits, subtractive_only=True):
@@ -623,7 +624,7 @@ def einj_witness_construction_ok(s: SemiringTable,
         back = {p: i for i, p in enumerate(to_parent)}
         proj_onto = tuple(back[dec.projections[0].image_of[x]] for x in range(m.order))
         for j in family:
-            for h in enumerate_homs(m, j, limits):
+            for h in enumerate_homs(m, j, limits).exhaustive_items("hom enumeration"):
                 g = tuple(h.image_of[p] for p in to_parent)
                 j0 = h.image_of[s.one]
                 h1 = tuple(j.act[s.mul[x][e_n]][j0] for x in range(m.order))
@@ -839,9 +840,7 @@ def audit_corpus(order_bound: int = 3, commutative_only: bool = False,
     tasks: list[tuple[SemiringTable, Limits, str]] = []
     for order in range(2, order_bound + 1):
         stream = enumerate_semirings(order, commutative_only, limits)
-        if not stream.exhaustive:
-            raise LimitExceeded("semiring enumeration truncated")
-        for idx, s in enumerate(stream):
+        for idx, s in enumerate(stream.exhaustive_items("semiring enumeration")):
             tasks.append((s, limits, f"sr{order}-{idx:03d}"))
     extra: list[ClaimRecord] = []
     if include_fixtures:

@@ -17,16 +17,25 @@ checked once, when it is built, by its closure (:func:`_closure_mask`).  The
 image of a linear map is closed by linearity, so engine code that needs only
 a predicate on an image works on the image mask and builds no SubStructure.
 
-Derived structure that depends on one module alone is stored on its table,
-outside the dataclass fields: its subtractive lattice (see
-:func:`enumerate_subsemimodules`) and each Bourne quotient M/K with its
-projection (see :func:`bourne_quotient`), built once and read by every
-caller.
+Derived structure is built once and stored, outside the dataclass fields,
+on the table it is derived from: a value fixed by one table and a key is
+kept on that table under that key.  Every caller then shares one object,
+and every ``lru_cache`` keyed on it hits by identity instead of comparing
+whole tables.  A semiring table keeps its left module and its zero module
+(:func:`zero_module`).  A module table keeps its subsemimodule and
+subtractive lattices, by limits (see
+:func:`enumerate_subsemimodules`); each promoted subsemimodule with its
+index map, by mask (:func:`sub_module`); each quotient with its
+projection, by class map (:func:`_quotient`), and each Bourne quotient
+M/K, by the mask of K (:func:`bourne_quotient`); and each zero map out of
+it, by target (:func:`zero_map`).  A linear map keeps its image mask, its
+kernel mask and its k-normality.  The stores are left out of eq, hash
+and repr, and a module table pickles without them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from itertools import combinations
 from operator import itemgetter
@@ -35,6 +44,7 @@ from typing import Iterator, Sequence, Union
 from .errors import (
     AxiomViolations,
     IncompatiblePartition,
+    LimitExceeded,
     NotComposable,
     ShapeError,
     Violation,
@@ -108,6 +118,13 @@ class Enumeration:
 
     def __getitem__(self, i):
         return self.items[i]
+
+    def exhaustive_items(self, what: str) -> tuple:
+        """The items, or :class:`LimitExceeded` naming ``what`` when a limit
+        cut them: for callers whose verdict needs the whole answer."""
+        if not self.exhaustive:
+            raise LimitExceeded(f"{what} truncated")
+        return self.items
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +207,11 @@ class SemiringTable:
     def _left_module(self) -> SemimoduleTable:
         return SemimoduleTable(base=self, order=self.order, add=self.add,
                                act=self.mul, zero=self.zero)
+
+    @cached_property
+    def _zero_module(self) -> SemimoduleTable:
+        return SemimoduleTable(base=self, order=1, add=((0,),),
+                               act=((0,),) * self.order, zero=0)
 
     def elements(self) -> range:
         return range(self.order)
@@ -416,10 +438,40 @@ class SemimoduleTable:
         return {}
 
     @cached_property
+    def _subsemimodule_lattices(self) -> dict[Limits, Enumeration]:
+        """The full subsemimodule enumerations made so far, by their limits;
+        not a dataclass field, as above."""
+        return {}
+
+    @cached_property
     def _bourne_quotients(self) -> dict[int, tuple[SemimoduleTable, LinearMap]]:
         """The Bourne quotients M/K built so far, with their projections, by
         the mask of K; not a dataclass field, as above."""
         return {}
+
+    @cached_property
+    def _quotients(self) -> dict[tuple[int, ...], tuple[SemimoduleTable, LinearMap]]:
+        """The quotients built so far, with their projections, by the class
+        map of the congruence; not a dataclass field, as above."""
+        return {}
+
+    @cached_property
+    def _sub_modules(self) -> dict[int, tuple[SemimoduleTable, tuple[int, ...]]]:
+        """The promoted subsemimodules built so far, with their index maps,
+        by mask; not a dataclass field, as above."""
+        return {}
+
+    @cached_property
+    def _zero_maps(self) -> dict[SemimoduleTable, LinearMap]:
+        """The zero maps out of this module built so far, by target; not a
+        dataclass field, as above."""
+        return {}
+
+    def __getstate__(self) -> dict:
+        """The dataclass fields alone.  A store can hold a table keyed by a
+        table that refers back to this one, which unpickling would hash
+        before its fields are set; the stores refill on demand."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __repr__(self) -> str:
         return f"SemimoduleTable(order={self.order}, base_order={self.base.order})"
@@ -484,8 +536,8 @@ def validate_semimodule(base: SemiringTable, add: Sequence[Sequence[int]],
 
 
 def zero_module(base: SemiringTable) -> SemimoduleTable:
-    return SemimoduleTable(base=base, order=1, add=((0,),),
-                           act=tuple((0,) for _ in range(base.order)), zero=0)
+    """The one-element module over ``base``: one object per semiring table."""
+    return base._zero_module
 
 
 def product_module(a: SemimoduleTable, b: SemimoduleTable) -> SemimoduleTable:
@@ -632,15 +684,21 @@ def sub_module(sub: SubStructure) -> tuple[SemimoduleTable, tuple[int, ...]]:
     """Promote a SubStructure to its own SemimoduleTable.
 
     Returns the promoted module plus ``to_parent``: new index -> parent index.
+    Built once per parent table and mask: the first call stores the pair on
+    the parent, and later calls for the same members return that same pair.
     """
     parent = sub.parent
-    to_parent = tuple(sorted(bits(sub.members)))
+    stored = parent._sub_modules
+    if sub.members in stored:
+        return stored[sub.members]
+    to_parent = tuple(bits(sub.members))
     back = {p: i for i, p in enumerate(to_parent)}
     add = tuple(tuple(back[parent.add[x][y]] for y in to_parent) for x in to_parent)
     act = tuple(tuple(back[parent.act[s][x]] for x in to_parent)
                 for s in range(parent.base.order))
     mod = SemimoduleTable(base=parent.base, order=len(to_parent), add=add, act=act,
                           zero=back[parent.zero])
+    stored[sub.members] = mod, to_parent
     return mod, to_parent
 
 
@@ -888,8 +946,14 @@ def _quotient(m: SemimoduleTable, rho: CongruencePartition):
     :func:`bourne_congruence`, :func:`congruence_closure` and
     :func:`enumerate_congruences` return is.  ``tests/test_core.py::
     test_engine_built_values_pass_the_public_checks`` checks every
-    partition the engine passes here."""
+    partition the engine passes here.
+
+    Built once per table and congruence: the first call stores the pair on
+    ``m``, and later calls with the same class map return that same pair."""
     class_of = rho.class_of
+    stored = m._quotients
+    if class_of in stored:
+        return stored[class_of]
     k = rho.n_classes()
     rep = [0] * k
     for x in range(m.order - 1, -1, -1):
@@ -899,11 +963,34 @@ def _quotient(m: SemimoduleTable, rho: CongruencePartition):
                 for s in range(m.base.order))
     quot = SemimoduleTable(base=m.base, order=k, add=add, act=act,
                            zero=class_of[m.zero])
-    return quot, _linear_map(m, quot, class_of)
+    stored[class_of] = quot, _linear_map(m, quot, class_of)
+    return stored[class_of]
 
 
 # ---------------------------------------------------------------------------
 # linear maps (shared foundation; analysis lives in the homs module)
+
+
+class _once:
+    """Like ``cached_property``, but the value is set with
+    ``object.__setattr__`` (which a frozen dataclass allows) instead of
+    through the instance ``__dict__``.  Reading ``__dict__`` gives each
+    instance a dict of its own, about 230 bytes more per linear map on
+    CPython 3.11; a plain attribute stays in the compact shared-key
+    storage.  Later reads find the attribute and skip this descriptor."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.fn(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
 
 
 @dataclass(frozen=True)
@@ -924,11 +1011,31 @@ class LinearMap:
         return self.image_of[x]
 
     def image_mask(self) -> int:
-        return mask_of(self.image_of)
+        return self._image_mask
 
     def kernel_mask(self) -> int:
+        return self._kernel_mask
+
+    def is_k_normal(self) -> bool:
+        """f(x) = f(y) implies x + k = y + k' for some k, k' in the kernel
+        (see :func:`_is_k_normal`)."""
+        return self._k_normal
+
+    # computed once per map; not dataclass fields, so they are left out of
+    # eq, hash and repr
+
+    @_once
+    def _image_mask(self) -> int:
+        return mask_of(self.image_of)
+
+    @_once
+    def _kernel_mask(self) -> int:
         tz = self.target.zero
         return mask_of(x for x, y in enumerate(self.image_of) if y == tz)
+
+    @_once
+    def _k_normal(self) -> bool:
+        return _is_k_normal(self.source.add, self.image_of, self._kernel_mask)
 
     def is_injective(self) -> bool:
         return len(set(self.image_of)) == self.source.order
@@ -995,7 +1102,12 @@ def identity_map(m: SemimoduleTable) -> LinearMap:
 
 
 def zero_map(source: SemimoduleTable, target: SemimoduleTable) -> LinearMap:
-    return LinearMap(source, target, (target.zero,) * source.order)
+    """The zero map, checked once and stored on ``source`` by target: later
+    calls for an equal target return that same map."""
+    stored = source._zero_maps
+    if target not in stored:
+        stored[target] = LinearMap(source, target, (target.zero,) * source.order)
+    return stored[target]
 
 
 def inclusion_map(sub: SubStructure) -> tuple[SemimoduleTable, LinearMap]:
@@ -1028,17 +1140,19 @@ def enumerate_subsemimodules(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS
     (at most ``max_results``), each a real SubStructure (subtractive, with
     ``subtractive_only``), and ``exhaustive`` is False.
 
-    The subtractive lattice is computed once per table and ``limits``: the
-    first such call stores its Enumeration on ``m``, and later calls with
-    equal limits return that same object.  A call with other limits makes
-    and stores its own.
+    Each lattice, full or subtractive, is computed once per table and
+    ``limits``: the first such call stores its Enumeration on ``m``, and
+    later calls with equal limits return that same object, truncated or
+    not.  A call with other limits makes and stores its own.
     """
     if subtractive_only:
         stored = m._subtractive_lattices
         if limits not in stored and _is_idempotent(m):
             stored[limits] = _subtractive_down_sets(m, limits)
-        if limits in stored:
-            return stored[limits]
+    else:
+        stored = m._subsemimodule_lattices
+    if limits in stored:
+        return stored[limits]
     close = _subtractive_closed_closure if subtractive_only else _closure_mask
     start = close(m, 0)
     seen = {start}
@@ -1064,10 +1178,8 @@ def enumerate_subsemimodules(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS
                 seen.add(nxt)
                 queue.append(nxt)
     subs = tuple(SubStructure(m, mask) for mask in sorted(seen))
-    out = Enumeration(items=subs, exhaustive=exhaustive)
-    if subtractive_only:
-        m._subtractive_lattices[limits] = out
-    return out
+    stored[limits] = Enumeration(items=subs, exhaustive=exhaustive)
+    return stored[limits]
 
 
 def _subtractive_down_sets(m: SemimoduleTable, limits: Limits) -> Enumeration:

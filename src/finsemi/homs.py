@@ -17,7 +17,6 @@ from .core import (
     Table,
     _closure_mask,
     _cyclic_generator,
-    _is_k_normal,
     _linear_map,
     _subtractive_closure_mask,
     bourne_quotient,
@@ -316,10 +315,9 @@ class NormalityProfile:
 
 
 def normality_profile(f: LinearMap) -> NormalityProfile:
-    k_normal = _is_k_normal(f.source.add, f.image_of, f.kernel_mask())
     img = f.image_mask()
     i_normal = _subtractive_closure_mask(f.target, img) == img
-    return NormalityProfile(k_normal=k_normal, i_normal=i_normal)
+    return NormalityProfile(k_normal=f.is_k_normal(), i_normal=i_normal)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +395,7 @@ def classify_junction(f: LinearMap, g: LinearMap) -> JunctionClass:
     ker_mask = g.kernel_mask()
     proper = img == ker_mask
     semi = _subtractive_closure_mask(f.target, img) == ker_mask
-    exact = proper and normality_profile(g).k_normal
+    exact = proper and g.is_k_normal()
     return JunctionClass(proper_exact=proper, semi_exact=semi, exact=exact)
 
 
@@ -429,7 +427,7 @@ def short_exact_equivalences(seq: SequenceSpec) -> dict[str, bool]:
     exact = is_short_exact(seq)
 
     embeds = f.is_injective() and f.image_mask() == g.kernel_mask()
-    explicit = embeds and g.is_surjective() and normality_profile(g).k_normal
+    explicit = embeds and g.is_surjective() and g.is_k_normal()
 
     iso = False
     if embeds:

@@ -55,7 +55,6 @@ from .core import (
     mask_of,
     sub_module,
 )
-from .errors import LimitExceeded
 from .homs import _pointwise_sums, are_isomorphic, enumerate_homs
 from .semisimple import module_test_family
 
@@ -91,10 +90,7 @@ class Monoid:
 
 def _all_homs(source: SemimoduleTable, target: SemimoduleTable,
               limits: Limits) -> tuple[LinearMap, ...]:
-    homs = enumerate_homs(source, target, limits)
-    if not homs.exhaustive:
-        raise LimitExceeded("hom enumeration truncated")
-    return homs.items
+    return enumerate_homs(source, target, limits).exhaustive_items("hom enumeration")
 
 
 def hom_monoid(source: SemimoduleTable, target: SemimoduleTable,
@@ -153,9 +149,7 @@ def _lifting_pass(m: SemimoduleTable, candidates: tuple[LinearMap, ...], limits:
     (a test map) with its first lift, or None.  Raises
     :class:`LimitExceeded` if an enumeration is truncated."""
     subt = enumerate_subsemimodules(m, limits, subtractive_only=True)
-    if not subt.exhaustive:
-        raise LimitExceeded("subtractive enumeration truncated")
-    for sub in subt:
+    for sub in subt.exhaustive_items("subtractive enumeration"):
         push, source, target = problem(sub)
         pushed = [push(h.image_of) for h in candidates]
         first: dict[tuple[int, ...], tuple[int, ...]] = {}

@@ -26,9 +26,9 @@ from .core import (
     mask_of,
     sub_module,
 )
-from .errors import CrosscheckFailure, HypothesisUnmet, LimitExceeded
+from .errors import CrosscheckFailure, HypothesisUnmet
 from .homs import enumerate_homs
-from .summands import SummandPoset, _sumset, is_direct_sum, summand_poset
+from .summands import SummandPoset, _direct_sum, _sumset, summand_poset
 
 # full enumerations and hom cross-checks are only run below this carrier size
 CROSSCHECK_MAX_ORDER = 12
@@ -109,14 +109,10 @@ def module_test_family(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS) -> l
     quotient of m by a congruence, each in enumeration order."""
     family = [m]
     subs = enumerate_subsemimodules(m, limits)
-    if not subs.exhaustive:
-        raise LimitExceeded("subsemimodule enumeration truncated")
-    for sub in subs:
+    for sub in subs.exhaustive_items("subsemimodule enumeration"):
         family.append(sub_module(sub)[0])
     cons = enumerate_congruences(m, limits)
-    if not cons.exhaustive:
-        raise LimitExceeded("congruence enumeration truncated")
-    for rho in cons:
+    for rho in cons.exhaustive_items("congruence enumeration"):
         family.append(_quotient(m, rho)[0])
     return family
 
@@ -130,7 +126,8 @@ def simplicity_profile(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS,
     non-zero map into m is surjective, both over the quotient/sub family)
     plus full enumerations.  Disagreement is an engine bug, never a math
     outcome.  Each cross-check runs only on exhaustive enumerations: the
-    map characterizations need both.
+    map characterizations need both, and raise :class:`LimitExceeded` on a
+    truncated hom search.
     """
     ideal, iw = is_module_ideal_simple(m)
     cong, cw = is_module_congruence_simple(m)
@@ -152,7 +149,7 @@ def simplicity_profile(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS,
             maps_out_injective = all(
                 f.is_injective()
                 for other in family
-                for f in enumerate_homs(m, other, limits)
+                for f in enumerate_homs(m, other, limits).exhaustive_items("hom enumeration")
                 if not f.is_zero()
             )
             if maps_out_injective != cong:
@@ -160,7 +157,7 @@ def simplicity_profile(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS,
             maps_in_surjective = all(
                 f.is_surjective()
                 for other in family
-                for f in enumerate_homs(other, m, limits)
+                for f in enumerate_homs(other, m, limits).exhaustive_items("hom enumeration")
                 if not f.is_zero()
             )
             if maps_in_surjective != ideal:
@@ -212,7 +209,7 @@ def _search_simple_decomposition(m: SemimoduleTable, poset: SummandPoset,
 
     def rec(chosen: list[int], start: int, span: int):
         if span == full:
-            ok, _ = is_direct_sum(m, [SubStructure(m, c) for c in chosen])
+            ok, _ = _direct_sum(m, chosen)
             if ok:
                 return tuple(chosen)
             return None

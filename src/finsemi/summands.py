@@ -37,10 +37,16 @@ def is_direct_sum(m: SemimoduleTable, parts: list[SubStructure]):
     for p in parts:
         if p.parent != m:
             raise CrosscheckFailure("part belongs to a different module")
+    return _direct_sum(m, [p.members for p in parts])
+
+
+def _direct_sum(m: SemimoduleTable, masks: list[int]):
+    """:func:`is_direct_sum` on the parts' member masks, which must be
+    subsemimodules of ``m``."""
     combos: dict[int, tuple[int, ...]] = {m.zero: ()}
-    for part in parts:
+    for mask in masks:
         nxt: dict[int, tuple[int, ...]] = {}
-        elems = sorted(bits(part.members))
+        elems = list(bits(mask))
         for total, comps in sorted(combos.items()):
             row = m.add[total]
             for p in elems:
@@ -232,7 +238,7 @@ def summand_poset(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS) -> Summan
         if mask in complements:
             continue
         comask = beta.image_mask()
-        ok, _ = is_direct_sum(m, [SubStructure(m, mask), SubStructure(m, comask)])
+        ok, _ = _direct_sum(m, [mask, comask])
         if not ok:
             raise CrosscheckFailure("complemented idempotent image is not a summand")
         if not _restrictions_trivial(m, mask, comask):

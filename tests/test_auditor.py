@@ -206,6 +206,18 @@ def test_einj_witness_construction(B43, BxB):
     assert einj_witness_construction_ok(BxB, bounded_family(BxB))
 
 
+def test_einj_witness_construction_reads_every_hom():
+    # with three hom nodes End(M) of B(3,1) is whole but Hom(M, M + M) is
+    # cut; the check raises instead of passing on the maps it saw
+    from finsemi.core import product_module
+
+    s = make_B(3, 1)
+    mm = product_module(s.left_module(), s.left_module())
+    assert einj_witness_construction_ok(s, [mm])
+    with pytest.raises(LimitExceeded, match="^hom enumeration truncated$"):
+        einj_witness_construction_ok(s, [mm], Limits(max_hom_nodes=3))
+
+
 def test_fixture_expectations_emit_known_discrepancies():
     records = fixture_expectation_records()
     by_id = {(r.instance, r.claim_id): r for r in records}

@@ -158,6 +158,14 @@ def test_analyze_skips_the_map_crosscheck_on_truncated_enumerations(tmp_path, ca
     assert capsys.readouterr().out == B43_ANALYZE
 
 
+def test_analyze_reports_a_truncated_hom_search(b31_file, capsys):
+    # the map cross-check of simplicity_profile needs every hom; a cut
+    # search is a limit, not an engine bug
+    assert run(["--limits", "max_hom_nodes=1", "analyze", b31_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: hom enumeration truncated\n"
+
+
 def test_catalog_end_from_lattice_file(tmp_path, capsys):
     from finsemi.catalog import diamond_m3
     from finsemi.textio import emit_lattice

@@ -14,15 +14,18 @@ from finsemi.core import (
     LinearMap,
     Limits,
     SubStructure,
+    _quotient,
     _scalar_rows,
     bits,
     bourne_congruence,
+    bourne_quotient,
     congruence_closure,
     discrete_partition,
     enumerate_congruences,
     enumerate_subsemimodules,
     full_mask,
     generated_subsemimodule,
+    identity_map,
     linear_map_violations,
     make_partition,
     mask_of,
@@ -36,6 +39,7 @@ from finsemi.core import (
     v_and_k_sets,
     validate_semimodule,
     validate_semiring,
+    zero_map,
     zero_module,
 )
 from finsemi.errors import AxiomViolations, IncompatiblePartition, ShapeError
@@ -697,6 +701,86 @@ def test_table_with_a_stored_lattice_survives_pickling():
     stored = enumerate_subsemimodules(back.left_module(), subtractive_only=True)
     assert [t.members for t in stored] == [t.members for t in first]
     assert all(t.parent is back.left_module() for t in stored)
+
+
+def test_derived_modules_and_maps_are_built_once(B31):
+    m = B31.left_module()
+    sub = SubStructure(m, 0b101)
+    part, to_parent = sub_module(sub)
+    assert sub_module(SubStructure(m, 0b101)) == (part, to_parent)
+    assert sub_module(SubStructure(m, 0b101))[0] is part
+    rho = bourne_congruence(m, sub)
+    quot, proj = _quotient(m, rho)
+    again = CongruencePartition(m, rho.class_of)
+    assert again is not rho and _quotient(m, again)[0] is quot
+    assert _quotient(m, again)[1] is proj
+    assert quotient_by_congruence(m, again)[0] is quot
+    z = zero_module(B31)
+    assert zero_module(B31) is z and z.order == 1
+    assert zero_map(m, z) is zero_map(m, z) and zero_map(z, m) is zero_map(z, m)
+    assert zero_map(z, part) is not zero_map(z, m)
+    # an equal table built apart has stores of its own
+    other = make_B(3, 1)
+    assert other == B31 and zero_module(other) is not z and zero_module(other) == z
+    assert sub_module(SubStructure(other.left_module(), 0b101))[0] is not part
+
+
+def test_subsemimodule_lattice_is_stored_per_table_and_limits(monkeypatch):
+    from finsemi import core
+
+    # each closure the full walk makes is one call of _closure_mask
+    calls = []
+    original = core._closure_mask
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    s = make_end_semiring(chain_lattice(4))
+    m = s.left_module()
+    monkeypatch.setattr(core, "_closure_mask", counting)
+    first = enumerate_subsemimodules(m)
+    assert first.exhaustive and len(first) > 4 and calls
+    calls.clear()
+    assert enumerate_subsemimodules(s.left_module()) is first
+    assert not calls
+    # other limits build and store their own, truncated or not
+    cut = enumerate_subsemimodules(m, Limits(max_steps=3))
+    assert calls and not cut.exhaustive and len(cut) < len(first)
+    calls.clear()
+    assert enumerate_subsemimodules(m, Limits(max_steps=3)) is cut
+    assert not calls and not cut.exhaustive
+    assert enumerate_subsemimodules(m) is first
+    # the subtractive lattice is stored apart from the full one
+    assert enumerate_subsemimodules(m, subtractive_only=True) is not first
+    fresh = make_end_semiring(chain_lattice(4)).left_module()
+    again = enumerate_subsemimodules(fresh)
+    assert calls and again is not first
+    assert [t.members for t in again] == [t.members for t in first]
+
+
+def test_table_with_filled_stores_survives_pickling(B31):
+    import pickle
+
+    from finsemi.homs import zero_flanked
+
+    s = make_B(3, 1)
+    m = s.left_module()
+    z = zero_module(s)
+    part, _ = sub_module(SubStructure(m, 0b101))
+    enumerate_subsemimodules(m)
+    enumerate_subsemimodules(m, subtractive_only=True)
+    quot, _ = bourne_quotient(m, SubStructure(m, 0b101))
+    # m is the source of a zero map into z and z of one into m, so the two
+    # stores key each table by the other
+    zero_flanked(m, identity_map(m), m, zero_map(m, z), z)
+    zero_flanked(z, zero_map(z, m), m, identity_map(m), m)
+    for t in (s, m, z, part, quot):
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and hash(back) == hash(t) and back is not t
+    back = pickle.loads(pickle.dumps((s, m, z)))
+    assert back == (s, m, z) and back[1].base is back[0] and back[2].base is back[0]
+    assert zero_module(back[0]) == z and zero_map(back[1], back[2]) == zero_map(m, z)
 
 
 @pytest.mark.parametrize("limits", [Limits(max_steps=3), Limits(max_results=2)])

@@ -535,6 +535,28 @@ def test_normality_profiles_of_every_hom():
     assert len(verdicts) == 4
 
 
+def test_stored_map_facts_of_every_hom():
+    # the image, kernel and k-normality each map keeps equal a fresh
+    # computation, on the maps the engine builds and on checked ones
+    verdicts = set()
+    for name, a, b in _same_base_pairs():
+        naive_a = oracle.as_module(a)
+        engine = {f.image_of: f for f in enumerate_homs(a, b)}
+        for image_of in oracle.homs(naive_a, oracle.as_module(b)):
+            kernel = sum(1 << x for x, y in enumerate(image_of) if y == b.zero)
+            image = sum(1 << y for y in set(image_of))
+            k_normal = oracle.is_k_normal(naive_a, image_of)
+            for f in (engine[image_of], LinearMap(a, b, image_of)):
+                for _ in range(2):
+                    assert (f.kernel_mask(), f.image_mask(), f.is_k_normal()) == \
+                        (kernel, image, k_normal), (name, image_of)
+                assert {"_kernel_mask", "_image_mask", "_k_normal"} <= set(vars(f))
+            assert engine[image_of] == LinearMap(a, b, image_of)
+            assert hash(engine[image_of]) == hash(LinearMap(a, b, image_of))
+            verdicts.add(k_normal)
+    assert verdicts == {False, True}
+
+
 def _one_sided_restriction():
     """A semiring of order 5 whose left module is {0, 3} + {0, 2, 4}, where
     the Bourne relation of {0, 2, 4} restricted to {0, 3} is the diagonal,

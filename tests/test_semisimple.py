@@ -14,6 +14,7 @@ from finsemi.catalog import (
     pentagon_n5,
 )
 from finsemi.core import (
+    Limits,
     SubStructure,
     bits,
     congruence_closure,
@@ -21,7 +22,7 @@ from finsemi.core import (
     full_mask,
     sub_module,
 )
-from finsemi.errors import HypothesisUnmet
+from finsemi.errors import HypothesisUnmet, LimitExceeded
 from finsemi.semisimple import (
     comsum_check,
     condition_profile,
@@ -38,6 +39,15 @@ def test_boolean_is_simple_both_ways(B):
     rep = simplicity_profile(B.left_module())
     assert rep.ideal_simple and rep.congruence_simple
     assert rep.crosschecked
+
+
+def test_truncated_hom_search_is_not_a_crosscheck_failure():
+    # the map characterizations need every hom: a cut list raises instead
+    # of reporting the routes as disagreeing
+    m = make_B(3, 1).left_module()
+    with pytest.raises(LimitExceeded, match="^hom enumeration truncated$"):
+        simplicity_profile(m, Limits(max_hom_nodes=1), crosscheck=True)
+    assert not simplicity_profile(m, Limits(max_hom_nodes=1), crosscheck=False).ideal_simple
 
 
 def test_b31_is_simple_neither_way(B31):

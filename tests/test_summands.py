@@ -154,6 +154,25 @@ def test_product_has_four_summands(BxB):
         assert ok
 
 
+def test_summand_poset_builds_a_substructure_per_node_only(monkeypatch, B):
+    from finsemi import core
+    from finsemi.catalog import make_product
+
+    built = []
+    original = core.SubStructure.__post_init__
+
+    def counting(self):
+        built.append(self.members)
+        return original(self)
+
+    m = make_product([B, B, B]).left_module()
+    end_semiring(m)  # the hom search builds no SubStructure either way
+    monkeypatch.setattr(core.SubStructure, "__post_init__", counting)
+    poset = summand_poset(m)
+    assert len(poset.nodes) == 8
+    assert sorted(built) == sorted(poset.masks())
+
+
 def test_every_summand_is_subtractive(B31, B43, BxB):
     for s in (B31, B43, BxB):
         m = s.left_module()
