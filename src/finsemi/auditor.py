@@ -251,8 +251,8 @@ class InstanceFacts:
         self.limits = limits
         self.scope = scope
         self.m = s.left_module()
-        self.subtractive = list(enumerate_subsemimodules(
-            self.m, limits, subtractive_only=True).exhaustive_items("subtractive ideal enumeration"))
+        subt = enumerate_subsemimodules(self.m, limits, subtractive_only=True)
+        self.subtractive = list(subt.exhaustive_items("subtractive ideal enumeration"))
         self.poset = summand_poset(self.m, limits)
         self.cprofile = condition_profile(s, limits)
         # C1, read off the same subtractive lattice and summand poset

@@ -972,12 +972,9 @@ def _quotient(m: SemimoduleTable, rho: CongruencePartition):
 
 
 class _once:
-    """Like ``cached_property``, but the value is set with
-    ``object.__setattr__`` (which a frozen dataclass allows) instead of
-    through the instance ``__dict__``.  Reading ``__dict__`` gives each
-    instance a dict of its own, about 230 bytes more per linear map on
-    CPython 3.11; a plain attribute stays in the compact shared-key
-    storage.  Later reads find the attribute and skip this descriptor."""
+    """``cached_property`` that sets the attribute with ``object.__setattr__``
+    instead of writing ``__dict__``, which would give each instance a dict
+    of its own: about 230 bytes more per linear map on CPython 3.11."""
 
     def __init__(self, fn):
         self.fn = fn
