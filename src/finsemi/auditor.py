@@ -1,6 +1,10 @@
 """Enumerate small semirings up to isomorphism and audit, per instance, the
 implication chains and claimed equivalences the engine implements.
 
+The claims are data: :data:`CLAIMS` gives, per claim id, the instances it
+applies to, whether it is a chain or an equivalence, each item as a named
+fact of :class:`InstanceFacts` (alone or with C2 or C2'), or a finite
+constant, and which items carry a witness.  :func:`claim_records` walks it.
 Implications are enforced (a failed one is a hard failure and an engine
 bug); claimed pairwise equivalences are audited, with mismatched sides
 reported as discrepancy records that never overwrite verdicts.
@@ -12,7 +16,8 @@ import hashlib
 import itertools
 import json
 import os
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 from .core import (
     DEFAULT_LIMITS,
@@ -31,6 +36,7 @@ from .core import (
     sub_module,
     subtractive_closure,
 )
+from .errors import EngineError, LimitExceeded
 from .homs import (
     are_isomorphic,
     enumerate_homs,
@@ -201,30 +207,23 @@ def enumerate_semirings(order: int, commutative_only: bool = False,
 class ClaimRecord:
     instance: str
     claim_id: str
-    verdict: str  # "holds" | "fails" | "discrepancy" | "unknown"
+    verdict: str  # "holds" | "not-satisfied" | "fails" | "discrepancy" | "unknown"
     witness: str
     exhaustive: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"instance": self.instance, "claim_id": self.claim_id,
-             "verdict": self.verdict, "witness": self.witness,
-             "exhaustive": self.exhaustive},
-            sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
 
 @dataclass(frozen=True)
 class AuditReport:
     instance: str
-    digest: str
-    scope: str
+    digest: str  # "-" where it was not computed
+    scope: str  # "full" | "reduced", or "" for an audit cut short
     records: tuple[ClaimRecord, ...]
 
     def hard_failures(self) -> list[ClaimRecord]:
         return [r for r in self.records if r.verdict == "fails"]
-
-    def discrepancies(self) -> list[ClaimRecord]:
-        return [r for r in self.records if r.verdict == "discrepancy"]
 
 
 def _fmt_mask(mask: int) -> str:
@@ -244,61 +243,72 @@ def _identity_lift(report, mask: int, order: int) -> tuple[int, ...] | None:
 
 
 class InstanceFacts:
-    """Everything the audits consume, computed once per instance."""
+    """Everything the audits consume, computed once per instance.  ``facts``
+    maps the name of each fact that claim items read to its value; the
+    family-quantified ones (e-/k-projective, e-/i-injective) are None in
+    reduced scope."""
 
     def __init__(self, s: SemiringTable, limits: Limits, scope: str):
         self.s = s
-        self.limits = limits
-        self.scope = scope
         self.m = s.left_module()
         subt = enumerate_subsemimodules(self.m, limits, subtractive_only=True)
         self.subtractive = list(subt.exhaustive_items("subtractive ideal enumeration"))
         self.poset = summand_poset(self.m, limits)
-        self.cprofile = condition_profile(s, limits)
-        # C1, read off the same subtractive lattice and summand poset
-        self.all_subtractive_summands = self.cprofile.c1
+        cprofile = condition_profile(s, limits)
         self.ssprofile = semisimplicity_profile(s, limits)
-        self.decomposition = irreducible_decomposition(s, limits)
+        self.parts = [_fmt_mask(p) for p in irreducible_decomposition(s, limits).part_masks()]
         self.left_subtractive = None
         self.family = None
-        self.e_proj = self.k_proj = self.e_inj = self.i_inj = None
+        e_proj = k_proj = e_inj = i_inj = None
         if scope == "full":
             subs_all = enumerate_subsemimodules(self.m, limits)
             if subs_all.exhaustive:
                 self.left_subtractive = all(sub.is_subtractive() for sub in subs_all)
-                self.all_subs = list(subs_all)
             self.family = bounded_family(s, limits)
             # a sequence record's ``right`` is the lifting verdict for its K,
             # so the e-reports also give k-projectivity and i-injectivity
-            e_proj = [is_e_projective(p, self.m, limits) for p in self.family]
-            e_inj = [is_e_injective(j, self.m, limits) for j in self.family]
-            self.e_proj = all(rep.holds for rep in e_proj)
-            self.k_proj = all(r.right for rep in e_proj for r in rep.records)
-            self.e_inj = all(rep.holds for rep in e_inj)
-            self.i_inj = all(r.right for rep in e_inj for r in rep.records)
+            e_proj_reps = [is_e_projective(p, self.m, limits) for p in self.family]
+            e_inj_reps = [is_e_injective(j, self.m, limits) for j in self.family]
+            e_proj = all(rep.holds for rep in e_proj_reps)
+            k_proj = all(r.right for rep in e_proj_reps for r in rep.records)
+            e_inj = all(rep.holds for rep in e_inj_reps)
+            i_inj = all(r.right for rep in e_inj_reps for r in rep.records)
         # Per subtractive K, the first retraction M -> K and the first
         # section M/K -> M of 0 -> K -> M -> M/K -> 0 (image arrays, or
         # None): the first lifts of the identity test maps, at kernel K, of
         # the i-injectivity report of K and the k-projectivity report of M/K.
         self.splittings: dict[int, tuple[tuple[int, ...] | None, tuple[int, ...] | None]] = {}
-        self.quotients_k_proj = self.subtractive_i_inj = True
+        quotients_k_proj = subtractive_i_inj = True
         for sub in self.subtractive:
             quot = bourne_quotient(self.m, sub)[0]
             part = sub_module(sub)[0]
             k_rep = is_k_projective(quot, self.m, limits)
             i_rep = is_i_injective(part, self.m, limits)
-            self.quotients_k_proj = self.quotients_k_proj and k_rep.holds
-            self.subtractive_i_inj = self.subtractive_i_inj and i_rep.holds
+            quotients_k_proj = quotients_k_proj and k_rep.holds
+            subtractive_i_inj = subtractive_i_inj and i_rep.holds
             self.splittings[sub.members] = (_identity_lift(i_rep, sub.members, part.order),
                                             _identity_lift(k_rep, sub.members, quot.order))
-        self.left_split = all(r is not None for r, _ in self.splittings.values())
-        self.right_split = all(h is not None for _, h in self.splittings.values())
         self.k_chain = _longest_chain([sub.members for sub in self.subtractive])
         self.summand_chain = self.poset.max_chain_length
+        self.facts = {
+            "C1": cprofile.c1, "C2": cprofile.c2, "C2'": cprofile.c2prime,
+            "e-projective": e_proj, "k-projective": k_proj,
+            "quotients k-projective": quotients_k_proj,
+            "right split": all(h is not None for _, h in self.splittings.values()),
+            "e-injective": e_inj, "i-injective": i_inj,
+            "subtractive i-injective": subtractive_i_inj,
+            "left split": all(r is not None for r, _ in self.splittings.values()),
+            "ideal-semisimple": self.ssprofile.ideal_semisimple,
+            "congruence-semisimple": self.ssprofile.congruence_semisimple}
 
 
 # ---------------------------------------------------------------------------
 # chains and equivalence tables
+
+
+def _check(instance: str, claim_id: str, ok: bool, witness: str = "") -> ClaimRecord:
+    """The record of a hard check, which holds or fails."""
+    return ClaimRecord(instance, claim_id, "holds" if ok else "fails", witness, True)
 
 
 def _chain_records(instance: str, claim_prefix: str,
@@ -353,33 +363,83 @@ def _equivalence_records(instance: str, claim_prefix: str,
     return out
 
 
-def _proj_chain(instance: str, f: InstanceFacts) -> list[ClaimRecord]:
-    items = {
-        1: (f.all_subtractive_summands, "every subtractive ideal a summand"),
-        2: (f.e_proj, "family e-projective"),
-        3: (f.k_proj, "family k-projective"),
-        4: (f.quotients_k_proj, "quotients by subtractive ideals k-projective"),
-        5: (f.right_split, "canonical short exact sequences right split"),
-        6: (True, f"ACC on summands; longest chain {f.summand_chain}"),
-        7: (True, f"DCC on summands; longest chain {f.summand_chain}"),
-        8: (True, f"irreducible parts {[_fmt_mask(p) for p in f.decomposition.part_masks()]}"),
-    }
-    return _chain_records(instance, "prop-proj-impl", items)
+# ---------------------------------------------------------------------------
+# the claim table
 
 
-def _einj_chain(instance: str, f: InstanceFacts) -> list[ClaimRecord]:
-    items = {
-        1: (f.all_subtractive_summands, "every subtractive ideal a summand"),
-        2: (f.e_inj, "family e-injective"),
-        3: (f.i_inj, "family i-injective"),
-        4: (f.subtractive_i_inj, "subtractive ideals i-injective"),
-        5: (f.left_split, "canonical short exact sequences left split"),
-        6: (True, f"k-Noetherian; longest subtractive chain {f.k_chain}"),
-        7: (True, "ACC on summands"),
-        8: (True, "DCC on summands"),
-        9: (True, f"irreducible parts {[_fmt_mask(p) for p in f.decomposition.part_masks()]}"),
-    }
-    return _chain_records(instance, "prop-sum-einj", items)
+@dataclass(frozen=True)
+class Claim:
+    """A claimed chain or equivalence, audited where ``applies`` says.
+    ``items`` maps each item's key to a fact of ``InstanceFacts.facts``, to
+    ``"fact & C2"`` (or C2'), or to ``"finite"`` (true of every finite
+    semiring); a chain item adds ``": text"``, its record's witness, which
+    is formatted with the facts as ``f``.  ``witnesses`` maps each
+    equivalence item that carries a witness to a key of WITNESSES."""
+
+    applies: str
+    kind: str  # "chain" | "equivalence"
+    items: dict
+    witnesses: dict = field(default_factory=dict)
+
+
+CLAIMS = {
+    "prop-proj-impl": Claim("always", "chain", {
+        1: "C1: every subtractive ideal a summand",
+        2: "e-projective: family e-projective",
+        3: "k-projective: family k-projective",
+        4: "quotients k-projective: quotients by subtractive ideals k-projective",
+        5: "right split: canonical short exact sequences right split",
+        6: "finite: ACC on summands; longest chain {f.summand_chain}",
+        7: "finite: DCC on summands; longest chain {f.summand_chain}",
+        8: "finite: irreducible parts {f.parts}"}),
+    "prop-sum-einj": Claim("always", "chain", {
+        1: "C1: every subtractive ideal a summand",
+        2: "e-injective: family e-injective",
+        3: "i-injective: family i-injective",
+        4: "subtractive i-injective: subtractive ideals i-injective",
+        5: "left split: canonical short exact sequences left split",
+        6: "finite: k-Noetherian; longest subtractive chain {f.k_chain}",
+        7: "finite: ACC on summands",
+        8: "finite: DCC on summands",
+        9: "finite: irreducible parts {f.parts}"}),
+    "thm-idssc1": Claim("commutative", "equivalence", {
+        1: "C1 & C2", 2: "e-projective & C2", 3: "k-projective & C2",
+        4: "quotients k-projective & C2", 5: "right split & C2", 6: "C2", 7: "C2", 8: "C2",
+        9: "ideal-semisimple"},
+        witnesses={1: "splitting", 5: "right split", 9: "ideal parts"}),
+    "thm-cong-c2": Claim("commutative", "equivalence", {
+        1: "C1 & C2'", 2: "e-projective & C2'", 3: "k-projective & C2'",
+        4: "quotients k-projective & C2'", 5: "right split & C2'", 6: "C2'", 7: "C2'",
+        8: "C2'", 9: "congruence-semisimple"},
+        witnesses={1: "splitting"}),
+    "thm-iss-comm": Claim("commutative with C2", "equivalence", {
+        1: "C1", 2: "e-injective", 3: "i-injective", 4: "subtractive i-injective",
+        5: "left split", 6: "finite", 7: "finite", 8: "finite", 9: "finite",
+        10: "ideal-semisimple"},
+        witnesses={1: "splitting", 5: "retractions", 10: "ideal parts"}),
+    "thm-css-comm": Claim("commutative with C2'", "equivalence", {
+        1: "C1", 2: "e-injective", 3: "i-injective", 4: "subtractive i-injective",
+        5: "left split", 6: "finite", 7: "finite", 8: "finite", 9: "finite",
+        10: "congruence-semisimple"},
+        witnesses={1: "splitting", 5: "retractions", 10: "congruence parts"}),
+    "thm-com-idss": Claim("commutative with C2", "equivalence", {
+        "1": "C1", "2a": "e-projective", "2b": "k-projective", "3a": "e-injective",
+        "3b": "i-injective", "4a": "quotients k-projective", "4b": "subtractive i-injective",
+        "5a": "right split", "5b": "left split", "6": "finite", "7": "finite",
+        "8": "finite", "9": "finite", "10": "ideal-semisimple"},
+        witnesses={"1": "splitting"}),
+    "thm-com-css": Claim("commutative with C2'", "equivalence", {
+        "1": "C1", "2a": "e-projective", "2b": "k-projective", "3a": "e-injective",
+        "3b": "i-injective", "4a": "quotients k-projective", "4b": "subtractive i-injective",
+        "5a": "right split", "5b": "left split", "6": "finite", "7": "finite",
+        "8": "finite", "9": "finite", "10": "congruence-semisimple"},
+        witnesses={"1": "splitting"}),
+    # item 4 is C1 because every ideal is subtractive here
+    "thm-id-ss-k-e": Claim("every left ideal subtractive", "equivalence", {
+        1: "e-projective", 2: "k-projective", 3: "right split", 4: "C1",
+        5: "ideal-semisimple"},
+        witnesses={4: "splitting"}),
+}
 
 
 def _splitting_witness(f: InstanceFacts) -> str:
@@ -393,102 +453,52 @@ def _splitting_witness(f: InstanceFacts) -> str:
             f"retraction for its sequence: {left}")
 
 
-def _condition_items(f: InstanceFacts, cond: bool, semisimple: bool) -> dict:
-    """Items of thm-idssc1 (``cond`` is C2) and thm-cong-c2 (C2'): items
-    1-5 pair a projectivity fact with ``cond``, 6-8 are ``cond`` alone and
-    9 is the matching semisimplicity."""
-    def with_cond(fact: bool | None) -> bool | None:
-        return None if fact is None else (fact and cond)
-
-    return {
-        1: with_cond(f.all_subtractive_summands),
-        2: with_cond(f.e_proj),
-        3: with_cond(f.k_proj),
-        4: with_cond(f.quotients_k_proj),
-        5: with_cond(f.right_split),
-        6: cond,
-        7: cond,
-        8: cond,
-        9: semisimple,
-    }
+WITNESSES = {
+    "splitting": _splitting_witness,
+    "right split": lambda f: ("all canonical sequences right split"
+                              if f.facts["right split"] else ""),
+    "retractions": lambda f: "; ".join(
+        f"kernel {_fmt_mask(m)}: retraction {list(r) if r is not None else None}"
+        for m, (r, _) in sorted(f.splittings.items())),
+    "ideal parts": lambda f: f"ideal parts {f.ssprofile.ideal_parts}",
+    "congruence parts": lambda f: f"congruence parts {f.ssprofile.congruence_parts}",
+}
 
 
-def _idssc1_items(f: InstanceFacts) -> tuple[dict, dict]:
-    items = _condition_items(f, f.cprofile.c2, f.ssprofile.ideal_semisimple)
-    witnesses = {
-        1: _splitting_witness(f),
-        5: "all canonical sequences right split" if f.right_split else "",
-        9: f"ideal parts {f.ssprofile.ideal_parts}",
-    }
-    return items, witnesses
+def _item(spec: str, f: InstanceFacts) -> tuple[bool | None, str]:
+    """An item's value (a fact and its condition is unknown while the fact
+    is) and its chain text."""
+    head, _, text = spec.partition(": ")
+    fact, _, cond = head.partition(" & ")
+    value = True if fact == "finite" else f.facts[fact]
+    if cond:
+        value = value and f.facts[cond]
+    return value, text.format(f=f)
 
 
-def _congc2_items(f: InstanceFacts) -> tuple[dict, dict]:
-    items = _condition_items(f, f.cprofile.c2prime, f.ssprofile.congruence_semisimple)
-    return items, {1: _splitting_witness(f)}
-
-
-def _isscomm_items(f: InstanceFacts) -> tuple[dict, dict]:
-    items = {
-        1: f.all_subtractive_summands,
-        2: f.e_inj,
-        3: f.i_inj,
-        4: f.subtractive_i_inj,
-        5: f.left_split,
-        6: True,
-        7: True,
-        8: True,
-        9: True,
-        10: f.ssprofile.ideal_semisimple,
-    }
-    witnesses = {
-        1: _splitting_witness(f),
-        5: "; ".join(
-            f"kernel {_fmt_mask(m)}: retraction {list(r) if r is not None else None}"
-            for m, (r, _) in sorted(f.splittings.items())),
-        10: f"ideal parts {f.ssprofile.ideal_parts}",
-    }
-    return items, witnesses
-
-
-def _csscomm_items(f: InstanceFacts) -> tuple[dict, dict]:
-    items, witnesses = _isscomm_items(f)
-    items = dict(items)
-    items[10] = f.ssprofile.congruence_semisimple
-    witnesses = dict(witnesses)
-    witnesses[10] = f"congruence parts {f.ssprofile.congruence_parts}"
-    return items, witnesses
-
-
-def _comidss_items(f: InstanceFacts) -> tuple[dict, dict]:
-    items = {
-        "1": f.all_subtractive_summands,
-        "2a": f.e_proj, "2b": f.k_proj,
-        "3a": f.e_inj, "3b": f.i_inj,
-        "4a": f.quotients_k_proj, "4b": f.subtractive_i_inj,
-        "5a": f.right_split, "5b": f.left_split,
-        "6": True, "7": True, "8": True, "9": True,
-        "10": f.ssprofile.ideal_semisimple,
-    }
-    return items, {"1": _splitting_witness(f)}
-
-
-def _comcss_items(f: InstanceFacts) -> tuple[dict, dict]:
-    items, w = _comidss_items(f)
-    items = dict(items)
-    items["10"] = f.ssprofile.congruence_semisimple
-    return items, w
-
-
-def _idsske_items(f: InstanceFacts) -> tuple[dict, dict]:
-    items = {
-        1: f.e_proj,
-        2: f.k_proj,
-        3: f.right_split,
-        4: f.all_subtractive_summands,  # all ideals are subtractive here
-        5: f.ssprofile.ideal_semisimple,
-    }
-    return items, {4: _splitting_witness(f)}
+def claim_records(instance: str, f: InstanceFacts) -> list[ClaimRecord]:
+    """The records of every claim of :data:`CLAIMS` that applies to the
+    instance of ``f``; each witness text is computed at most once."""
+    commutative = f.s.commutative
+    applies = {"always": True, "commutative": commutative,
+               "commutative with C2": commutative and f.facts["C2"],
+               "commutative with C2'": commutative and f.facts["C2'"],
+               "every left ideal subtractive": f.left_subtractive}
+    texts: dict[str, str] = {}
+    out: list[ClaimRecord] = []
+    for claim_id, claim in CLAIMS.items():
+        if not applies[claim.applies]:
+            continue
+        items = {k: _item(spec, f) for k, spec in claim.items.items()}
+        if claim.kind == "chain":
+            out += _chain_records(instance, claim_id, items)
+            continue
+        for name in claim.witnesses.values():
+            if name not in texts:
+                texts[name] = WITNESSES[name](f)
+        out += _equivalence_records(instance, claim_id, {k: v for k, (v, _) in items.items()},
+                                    {k: texts[name] for k, name in claim.witnesses.items()})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -502,77 +512,53 @@ def lemma_suite(s: SemiringTable, limits: Limits = DEFAULT_LIMITS,
     Raises :class:`LimitExceeded` when a search they read is truncated."""
     instance = instance or f"sr{s.order}-{instance_digest(s)}"
     m = s.left_module()
-    out: list[ClaimRecord] = []
-
-    def record(claim: str, ok: bool, witness: str = "") -> None:
-        out.append(ClaimRecord(instance=instance, claim_id=claim,
-                               verdict="holds" if ok else "fails",
-                               witness=witness, exhaustive=True))
-
     family = module_test_family(m, limits)
 
     # map characterizations of both simplicities (raises on engine bugs)
     for mod in family:
         simplicity_profile(mod, limits, crosscheck=True)
-    record("lem-cong-s-char", True, f"checked on {len(family)} modules")
-    record("lem-id-ss-char", True, f"checked on {len(family)} modules")
+    checked = f"checked on {len(family)} modules"
+    out = [_check(instance, "lem-cong-s-char", True, checked),
+           _check(instance, "lem-id-ss-char", True, checked),
+           # ACC <=> DCC on summands: both trivially terminate; record the length
+           _check(instance, "lem-dcc-acc", True,
+                  f"chain length {summand_poset(m, limits).max_chain_length}")]
 
-    # ACC <=> DCC on summands: both trivially terminate; record the length
-    record("lem-dcc-acc", True, f"chain length {summand_poset(m, limits).max_chain_length}")
-
-    golan_ok = True
-    lemint_ok = True
-    diso_ok = True
-    rem1_ok = True
-    corml_ok = True
-    witness = ""
+    failed: dict[str, str] = {}  # claim id -> the witness of its last failure
     for mod in family:
         subs = list(enumerate_subsemimodules(mod, limits))
         poset = summand_poset(mod, limits)
-        pair_sums = []
-        for a in subs:
-            for b in subs:
-                ok, _ = is_direct_sum(mod, [a, b])
-                if ok:
-                    pair_sums.append((a, b))
+        pair_sums = [(a, b) for a in subs for b in subs if is_direct_sum(mod, [a, b])[0]]
         # Golan three-way equivalence on every subsemimodule
         for sub in subs:
             via_comp = poset.is_summand(sub.members)
             via_pairs = any(a.members == sub.members for a, b in pair_sums)
             via_cond3 = golan_condition3(mod, sub, subs)
             if not via_comp == via_pairs == via_cond3:
-                golan_ok = False
-                witness = f"{_fmt_mask(sub.members)}: {via_comp}/{via_pairs}/{via_cond3}"
+                failed["lem-golan-16-6"] = (f"{_fmt_mask(sub.members)}: "
+                                            f"{via_comp}/{via_pairs}/{via_cond3}")
         # d-iso (2): M = K + L direct implies M/K iso L
         for a, b in pair_sums:
             quot, _ = bourne_quotient(mod, subtractive_closure(a))
             if not are_isomorphic(quot, sub_module(b)[0]):
-                diso_ok = False
+                failed["rem-d-iso.2"] = ""
         # lemint: subtractive N, mod = L + K direct, L <= N  =>  N = L + (K n N)
         subt_masks = [t.members for t in subs if t.is_subtractive()]
         for a, b in pair_sums:
             for nmask in subt_masks:
-                if a.members & nmask != a.members:
-                    continue
-                meet = b.members & nmask
-                if not _direct_inside(mod, nmask, a.members, meet):
-                    lemint_ok = False
-                    witness = f"N={_fmt_mask(nmask)} L={_fmt_mask(a.members)}"
+                if (a.members & nmask == a.members
+                        and not _direct_inside(mod, nmask, a.members, b.members & nmask)):
+                    failed["lem-lemint"] = f"N={_fmt_mask(nmask)} L={_fmt_mask(a.members)}"
         # rem1: the unit decomposes with non-zero components in >=2-part sums
         if mod == m:
             parts = [SubStructure(mod, p) for p in
                      irreducible_decomposition(s, limits).part_masks()]
-            if len(parts) >= 2:
-                dec = decomposition_from_parts(mod, parts)
-                comps = [e.image_of[s.one] for e in dec.projections]
-                if any(c == mod.zero for c in comps):
-                    rem1_ok = False
-            if not projection_identities_hold(
-                    decomposition_from_parts(mod, parts)):
-                rem1_ok = False
+            dec = decomposition_from_parts(mod, parts)
+            if ((len(parts) >= 2 and any(e.image_of[s.one] == mod.zero for e in dec.projections))
+                    or not projection_identities_hold(dec)):
+                failed["rem-rem1"] = ""
         # short-exact characterizations over generated (f, g) grids
-        quots = [_quotient(mod, rho)[0]
-                 for rho in enumerate_congruences(mod, limits)]
+        quots = [_quotient(mod, rho)[0] for rho in enumerate_congruences(mod, limits)]
         l_mods = [sub_module(sub)[0] for sub in subs]
         g_lists = [(qmod, enumerate_homs(mod, qmod, limits).exhaustive_items("hom enumeration"))
                    for qmod in quots]
@@ -583,13 +569,9 @@ def lemma_suite(s: SemiringTable, limits: Limits = DEFAULT_LIMITS,
                         seq = zero_flanked(lmod, fmap, mod, gmap, qmod)
                         flags = short_exact_equivalences(seq)
                         if not flags["exact"] == flags["iso"] == flags["explicit"]:
-                            corml_ok = False
-                            witness = f"f={fmap.image_of} g={gmap.image_of}: {flags}"
-    record("lem-golan-16-6", golan_ok, witness if not golan_ok else "")
-    record("lem-lemint", lemint_ok, witness if not lemint_ok else "")
-    record("rem-d-iso.2", diso_ok)
-    record("rem-rem1", rem1_ok)
-    record("cor-m-l", corml_ok, witness if not corml_ok else "")
+                            failed["cor-m-l"] = f"f={fmap.image_of} g={gmap.image_of}: {flags}"
+    for claim in ("lem-golan-16-6", "lem-lemint", "rem-d-iso.2", "rem-rem1", "cor-m-l"):
+        out.append(_check(instance, claim, claim not in failed, failed.get(claim, "")))
     return out
 
 
@@ -620,7 +602,7 @@ def einj_witness_construction_ok(s: SemiringTable,
         parts = [sub, SubStructure(m, comask)]
         dec = decomposition_from_parts(m, parts)
         e_n = dec.projections[1].image_of[s.one]
-        part_mod, to_parent = sub_module(parts[0])
+        to_parent = sub_module(sub)[1]
         back = {p: i for i, p in enumerate(to_parent)}
         proj_onto = tuple(back[dec.projections[0].image_of[x]] for x in range(m.order))
         for j in family:
@@ -628,9 +610,7 @@ def einj_witness_construction_ok(s: SemiringTable,
                 g = tuple(h.image_of[p] for p in to_parent)
                 j0 = h.image_of[s.one]
                 h1 = tuple(j.act[s.mul[x][e_n]][j0] for x in range(m.order))
-                recombined = tuple(
-                    j.add[g[proj_onto[x]]][h1[x]] for x in range(m.order))
-                if recombined != h.image_of:
+                if tuple(j.add[g[proj_onto[x]]][h1[x]] for x in range(m.order)) != h.image_of:
                     return False
     return True
 
@@ -647,60 +627,27 @@ def audit_instance(s: SemiringTable, limits: Limits = DEFAULT_LIMITS,
     digest = instance_digest(s) if s.order <= 6 else "-"
     instance = instance or f"sr{s.order}-{digest}"
     facts = InstanceFacts(s, limits, scope)
-    records: list[ClaimRecord] = []
-    records.extend(_proj_chain(instance, facts))
-    records.extend(_einj_chain(instance, facts))
-
-    if s.commutative:
-        items, wit = _idssc1_items(facts)
-        records.extend(_equivalence_records(instance, "thm-idssc1", items, wit))
-        items, wit = _congc2_items(facts)
-        records.extend(_equivalence_records(instance, "thm-cong-c2", items, wit))
-        if facts.cprofile.c2:
-            items, wit = _isscomm_items(facts)
-            records.extend(_equivalence_records(instance, "thm-iss-comm", items, wit))
-            items, wit = _comidss_items(facts)
-            records.extend(_equivalence_records(instance, "thm-com-idss", items, wit))
-        if facts.cprofile.c2prime:
-            items, wit = _csscomm_items(facts)
-            records.extend(_equivalence_records(instance, "thm-css-comm", items, wit))
-            items, wit = _comcss_items(facts)
-            records.extend(_equivalence_records(instance, "thm-com-css", items, wit))
-    if facts.left_subtractive:
-        items, wit = _idsske_items(facts)
-        records.extend(_equivalence_records(instance, "thm-id-ss-k-e", items, wit))
-
+    records = claim_records(instance, facts)
     # supporting hard checks that need only instance facts
-    if facts.e_proj is not None:
-        sumproj_ok = (not facts.all_subtractive_summands) or facts.e_proj
-        records.append(ClaimRecord(
-            instance=instance, claim_id="lem-sumproj",
-            verdict="holds" if sumproj_ok else "fails",
-            witness="", exhaustive=True))
-        records.append(ClaimRecord(
-            instance=instance, claim_id="prop-sum-einj.witness-construction",
-            verdict="holds" if einj_witness_construction_ok(s, facts.family, limits) else "fails",
-            witness="", exhaustive=True))
-    if s.commutative and facts.ssprofile.ideal_semisimple:
+    c1, e_proj = facts.facts["C1"], facts.facts["e-projective"]
+    if e_proj is not None:
+        records.append(_check(instance, "lem-sumproj", not c1 or e_proj))
+        records.append(_check(instance, "prop-sum-einj.witness-construction",
+                              einj_witness_construction_ok(s, facts.family, limits)))
+    if s.commutative and facts.facts["ideal-semisimple"]:
         certs = comsum_check(s, limits)
-        ok = all(c.equals_sub_sum and c.is_summand for c in certs)
-        records.append(ClaimRecord(
-            instance=instance, claim_id="lem-comsum",
-            verdict="holds" if ok else "fails",
-            witness=f"{len(certs)} subtractive ideals", exhaustive=True))
+        records.append(_check(instance, "lem-comsum",
+                              all(c.equals_sub_sum and c.is_summand for c in certs),
+                              f"{len(certs)} subtractive ideals"))
     # sumidsim: if every subtractive ideal is a summand, the decomposition
     # into irreducible summands must exist (it always does; assert anyway)
-    records.append(ClaimRecord(
-        instance=instance, claim_id="cor-sumidsim",
-        verdict="holds" if facts.decomposition.parts else "fails",
-        witness="", exhaustive=True))
+    records.append(_check(instance, "cor-sumidsim", facts.parts))
 
     if s.order <= LEMMA_SCOPE_MAX_ORDER:
         records.extend(lemma_suite(s, limits, instance=instance))
 
     records.sort(key=lambda r: (r.instance, r.claim_id, r.witness))
-    return AuditReport(instance=instance, digest=digest, scope=scope,
-                       records=tuple(records))
+    return AuditReport(instance=instance, digest=digest, scope=scope, records=tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +658,7 @@ def _catalog_fixtures() -> list[tuple[str, SemiringTable]]:
     from . import catalog
 
     b = catalog.boolean_semiring()
-    out = [
+    return [
         ("B(3,1)", catalog.make_B(3, 1)),
         ("B(3,2)", catalog.make_B(3, 2)),
         ("B(4,3)", catalog.make_B(4, 3)),
@@ -721,7 +668,6 @@ def _catalog_fixtures() -> list[tuple[str, SemiringTable]]:
         ("E(M3)", catalog.make_end_semiring(catalog.diamond_m3())),
         ("E(N5)", catalog.make_end_semiring(catalog.pentagon_n5())),
     ]
-    return out
 
 
 def fixture_expectation_records(limits: Limits = DEFAULT_LIMITS) -> list[ClaimRecord]:
@@ -735,16 +681,12 @@ def fixture_expectation_records(limits: Limits = DEFAULT_LIMITS) -> list[ClaimRe
                truncated: str = "") -> None:
         """``truncated`` names the search that hit a limit, if one did."""
         if truncated:
-            out.append(ClaimRecord(
-                instance=instance, claim_id=claim, verdict="unknown",
-                witness=f"{truncated} truncated", exhaustive=False))
-            return
-        ok = expected == computed
-        out.append(ClaimRecord(
-            instance=instance, claim_id=claim,
-            verdict="holds" if ok else "discrepancy",
-            witness=witness or f"claimed {expected}, computed {computed}",
-            exhaustive=True))
+            verdict, witness = "unknown", f"{truncated} truncated"
+        else:
+            verdict = "holds" if expected == computed else "discrepancy"
+            witness = witness or f"claimed {expected}, computed {computed}"
+        out.append(ClaimRecord(instance=instance, claim_id=claim, verdict=verdict,
+                               witness=witness, exhaustive=not truncated))
 
     b31 = catalog.make_B(3, 1)
     m31 = b31.left_module()
@@ -811,32 +753,39 @@ class CorpusReport:
 
     def summary_lines(self) -> list[str]:
         recs = self.all_records()
-        counts = {"holds": 0, "fails": 0, "discrepancy": 0, "unknown": 0,
-                  "not-satisfied": 0}
-        for r in recs:
-            counts[r.verdict] = counts.get(r.verdict, 0) + 1
-        lines = [f"instances audited: {len(self.reports)}",
-                 f"claims checked: {len(recs)}"]
-        for k in ("holds", "not-satisfied", "fails", "discrepancy", "unknown"):
-            lines.append(f"  {k}: {counts.get(k, 0)}")
-        for r in recs:
-            if r.verdict == "fails":
-                lines.append(f"HARD FAIL {r.instance} {r.claim_id}: {r.witness}")
-        for r in recs:
-            if r.verdict == "discrepancy":
-                lines.append(f"discrepancy {r.instance} {r.claim_id}: {r.witness}")
-        return lines
+        counts = Counter(r.verdict for r in recs)
+        return ([f"instances audited: {len(self.reports)}", f"claims checked: {len(recs)}"]
+                + [f"  {k}: {counts[k]}"
+                   for k in ("holds", "not-satisfied", "fails", "discrepancy", "unknown")]
+                + [f"HARD FAIL {r.instance} {r.claim_id}: {r.witness}"
+                   for r in recs if r.verdict == "fails"]
+                + [f"discrepancy {r.instance} {r.claim_id}: {r.witness}"
+                   for r in recs if r.verdict == "discrepancy"])
 
 
 def _audit_one(args) -> AuditReport:
+    """The report of one corpus instance.  An audit cut by a search limit
+    becomes one non-exhaustive ``unknown`` record, any other engine error
+    one ``fails`` record, so one instance cannot end the whole run."""
     s, limits, name = args
-    return audit_instance(s, limits, instance=name)
+    try:
+        return audit_instance(s, limits, instance=name)
+    except LimitExceeded as exc:
+        record = ClaimRecord(instance=name, claim_id="audit", verdict="unknown",
+                             witness=str(exc), exhaustive=False)
+    except EngineError as exc:
+        record = _check(name, "audit", False, f"{type(exc).__name__}: {exc}")
+    return AuditReport(instance=name, digest="-", scope="", records=(record,))
 
 
 def audit_corpus(order_bound: int = 3, commutative_only: bool = False,
                  include_fixtures: bool = False,
                  limits: Limits = DEFAULT_LIMITS,
                  parallelism: int = 1) -> CorpusReport:
+    """Audit every semiring of order 2..``order_bound`` (and the catalog
+    fixtures).  A truncated audit of one instance is reported by its
+    records; a truncated enumeration of the semirings, or a limit hit by
+    :func:`fixture_expectation_records`, raises :class:`LimitExceeded`."""
     tasks: list[tuple[SemiringTable, Limits, str]] = []
     for order in range(2, order_bound + 1):
         stream = enumerate_semirings(order, commutative_only, limits)

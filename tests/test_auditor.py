@@ -1,6 +1,8 @@
 """Semiring enumeration up to isomorphism and the audit machinery."""
 
+import copy
 import json
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -321,3 +323,142 @@ def test_named_small_corpus_is_green(B, Z2, B31, B32, B43, BxB):
         rep = audit_instance(s, instance=name)
         assert rep.scope == "full"
         assert not rep.hard_failures(), (name, rep.hard_failures())
+
+
+# ---------------------------------------------------------------------------
+# claim encodings, one fact at a time
+
+# For each named fact, the items of each claim that read it, declared apart
+# from the auditor's claim table.  C2 and C2' also decide whether claims
+# apply at all: GATED names the claims that stop applying when one is false.
+READS = {
+    "C1": {"prop-proj-impl": {"1"}, "prop-sum-einj": {"1"}, "thm-idssc1": {"1"},
+           "thm-cong-c2": {"1"}, "thm-iss-comm": {"1"}, "thm-css-comm": {"1"},
+           "thm-com-idss": {"1"}, "thm-com-css": {"1"}, "thm-id-ss-k-e": {"4"}},
+    "C2": {"thm-idssc1": {"1", "2", "3", "4", "5", "6", "7", "8"}},
+    "C2'": {"thm-cong-c2": {"1", "2", "3", "4", "5", "6", "7", "8"}},
+    "e-projective": {"prop-proj-impl": {"2"}, "thm-idssc1": {"2"}, "thm-cong-c2": {"2"},
+                     "thm-com-idss": {"2a"}, "thm-com-css": {"2a"}, "thm-id-ss-k-e": {"1"}},
+    "k-projective": {"prop-proj-impl": {"3"}, "thm-idssc1": {"3"}, "thm-cong-c2": {"3"},
+                     "thm-com-idss": {"2b"}, "thm-com-css": {"2b"}, "thm-id-ss-k-e": {"2"}},
+    "quotients k-projective": {"prop-proj-impl": {"4"}, "thm-idssc1": {"4"},
+                               "thm-cong-c2": {"4"}, "thm-com-idss": {"4a"},
+                               "thm-com-css": {"4a"}},
+    "right split": {"prop-proj-impl": {"5"}, "thm-idssc1": {"5"}, "thm-cong-c2": {"5"},
+                    "thm-com-idss": {"5a"}, "thm-com-css": {"5a"}, "thm-id-ss-k-e": {"3"}},
+    "e-injective": {"prop-sum-einj": {"2"}, "thm-iss-comm": {"2"}, "thm-css-comm": {"2"},
+                    "thm-com-idss": {"3a"}, "thm-com-css": {"3a"}},
+    "i-injective": {"prop-sum-einj": {"3"}, "thm-iss-comm": {"3"}, "thm-css-comm": {"3"},
+                    "thm-com-idss": {"3b"}, "thm-com-css": {"3b"}},
+    "subtractive i-injective": {"prop-sum-einj": {"4"}, "thm-iss-comm": {"4"},
+                                "thm-css-comm": {"4"}, "thm-com-idss": {"4b"},
+                                "thm-com-css": {"4b"}},
+    "left split": {"prop-sum-einj": {"5"}, "thm-iss-comm": {"5"}, "thm-css-comm": {"5"},
+                   "thm-com-idss": {"5b"}, "thm-com-css": {"5b"}},
+    "ideal-semisimple": {"thm-idssc1": {"9"}, "thm-iss-comm": {"10"},
+                         "thm-com-idss": {"10"}, "thm-id-ss-k-e": {"5"}},
+    "congruence-semisimple": {"thm-cong-c2": {"9"}, "thm-css-comm": {"10"},
+                              "thm-com-css": {"10"}},
+}
+GATED = {"C2": {"thm-iss-comm", "thm-com-idss"}, "C2'": {"thm-css-comm", "thm-com-css"}}
+CLAIMS = set().union(*READS.values())
+CHAINS = {"prop-proj-impl", "prop-sum-einj"}
+
+
+def _false_items(report) -> dict[str, set[str]]:
+    """Claim id -> the keys of its items that are false, for every claim of
+    READS in ``report``; equivalence items are read off the "items disagree"
+    witness, so a claim that holds has every item true here."""
+    out = {}
+    for rec in report.records:
+        claim, _, rest = rec.claim_id.partition(".")
+        if claim in CHAINS and rest.startswith("item"):
+            out.setdefault(claim, set())
+            if rec.verdict == "not-satisfied":
+                out[claim].add(rest[len("item"):])
+        elif claim in CLAIMS and not rest:
+            out[claim] = {k for k, v in re.findall(r"\((\w+)\)=(\w+)", rec.witness)
+                          if v == "False"}
+    return out
+
+
+@pytest.mark.parametrize("fact", sorted(READS))
+def test_each_fact_moves_exactly_the_items_that_read_it(B, monkeypatch, fact):
+    # on B, commutative with every ideal subtractive, every claim applies
+    # and every fact holds; negating one fact must make false exactly the
+    # items that read it and drop exactly the claims it gates
+    base = auditor.InstanceFacts(B, Limits(), "full")
+    assert set(base.facts) == set(READS) and all(base.facts.values())
+    assert _false_items(audit_instance(B, instance="B")) == {c: set() for c in CLAIMS}
+
+    def flipped(s, limits, scope):
+        f = copy.copy(base)
+        f.facts = {**base.facts, fact: not base.facts[fact]}
+        return f
+
+    monkeypatch.setattr(auditor, "InstanceFacts", flipped)
+    want = {c: READS[fact].get(c, set()) for c in CLAIMS - GATED.get(fact, set())}
+    assert _false_items(audit_instance(B, instance="B")) == want
+
+
+def test_each_witness_is_computed_once_per_instance(B31, monkeypatch):
+    # on B(3,1) six claims show the splitting witness, each in several
+    # pairwise records
+    calls = []
+    for name, make in list(auditor.WITNESSES.items()):
+        monkeypatch.setitem(auditor.WITNESSES, name,
+                            lambda f, name=name, make=make: calls.append(name) or make(f))
+    rep = audit_instance(B31, instance="B(3,1)")
+    assert sum("not a summand" in r.witness for r in rep.records) > 6
+    assert sorted(calls) == sorted(set(calls)) and "splitting" in calls
+
+
+def test_lemma_suite_keeps_each_lemma_its_own_witness(B31, monkeypatch):
+    # golan_condition3 answering None breaks lem-golan-16-6 and _direct_inside
+    # answering False breaks lem-lemint, later in the same loop; each record
+    # must carry its own lemma's witness
+    monkeypatch.setattr(auditor, "golan_condition3", lambda mod, sub, subs: None)
+    monkeypatch.setattr(auditor, "_direct_inside", lambda mod, n, l, k: False)
+    by_id = {r.claim_id: r for r in lemma_suite(B31, instance="B(3,1)")}
+    golan, lemint = by_id["lem-golan-16-6"], by_id["lem-lemint"]
+    assert (golan.verdict, lemint.verdict) == ("fails", "fails")
+    assert golan.witness.endswith("/None"), golan.witness
+    assert lemint.witness.startswith("N="), lemint.witness
+    assert by_id["cor-m-l"].verdict == "holds" and by_id["cor-m-l"].witness == ""
+
+
+def test_a_truncated_instance_is_unknown_and_the_run_completes(tmp_path, capsys):
+    # one hom node cuts End(M) of most instances of order <= 3; each cut
+    # instance is one unknown record carrying the limit's message
+    cut = Limits(max_hom_nodes=1)
+    rep = audit_corpus(order_bound=3, limits=cut)
+    assert len(rep.reports) == 8
+    unknown = [r for r in rep.all_records() if r.verdict == "unknown"]
+    assert unknown
+    for rec in unknown:
+        assert rec.claim_id == "audit" and not rec.exhaustive
+        assert "node limit" in rec.witness or "truncated" in rec.witness, rec.witness
+    assert rep.to_jsonl() == audit_corpus(order_bound=3, limits=cut, parallelism=2).to_jsonl()
+    from finsemi.cli import run
+
+    out = tmp_path / "cut.jsonl"
+    assert run(["--limits", "max_hom_nodes=1", "audit", "--order", "3",
+                "--format", "jsonl", "--out", str(out)]) == 0
+    assert out.read_text() == rep.to_jsonl()
+
+
+def test_an_engine_error_in_one_instance_is_a_hard_failure(monkeypatch):
+    from finsemi.errors import CrosscheckFailure
+
+    real = auditor.audit_instance
+
+    def audit(s, limits, instance=""):
+        if instance == "sr2-001":
+            raise CrosscheckFailure("two routes disagree")
+        return real(s, limits, instance=instance)
+
+    monkeypatch.setattr(auditor, "audit_instance", audit)
+    rep = audit_corpus(order_bound=2)
+    assert [(r.instance, r.claim_id, r.witness) for r in rep.hard_failures()] == [
+        ("sr2-001", "audit", "CrosscheckFailure: two routes disagree")]
+    assert {r.instance for r in rep.all_records()} == {"sr2-000", "sr2-001"}

@@ -3,8 +3,8 @@
 `audit --order 4 --fixtures --format jsonl` must reproduce the stored
 report exactly: refactors of the engine may not move a single verdict or
 witness.  The golden file is gzip-compressed; uncompressed it is 5842
-lines, 969,868 bytes, sha256 GOLDEN_SHA256 below.  The run takes about
-20 s.
+lines, 969,868 bytes, sha256 GOLDEN_SHA256 below.  The run takes under a
+second (0.44 s on a 2-CPU machine).
 
 Regenerate only for an intended, explained change to the report (say why
 in CHANGES.md), from the repository root:
