@@ -17,6 +17,7 @@ import itertools
 import json
 import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .core import (
@@ -672,7 +673,10 @@ def _catalog_fixtures() -> list[tuple[str, SemiringTable]]:
 
 def fixture_expectation_records(limits: Limits = DEFAULT_LIMITS) -> list[ClaimRecord]:
     """Audit the externally claimed values for the named fixtures; mismatches
-    are discrepancies (the computed value wins, the claim is reported)."""
+    are discrepancies (the computed value wins, the claim is reported).  An
+    expectation whose computation hits a search limit becomes one
+    non-exhaustive ``unknown`` record with the limit's message, as an
+    instance does in :func:`_audit_one`."""
     from . import catalog
 
     out: list[ClaimRecord] = []
@@ -688,46 +692,57 @@ def fixture_expectation_records(limits: Limits = DEFAULT_LIMITS) -> list[ClaimRe
         out.append(ClaimRecord(instance=instance, claim_id=claim, verdict=verdict,
                                witness=witness, exhaustive=not truncated))
 
-    b31 = catalog.make_B(3, 1)
-    m31 = b31.left_module()
-    i_sub = SubStructure(m31, 0b101)
-    quot, proj = bourne_quotient(m31, i_sub)
-    imod = sub_module(i_sub)[0]
-    # quotient element c is a Bourne class, written [its least member]
-    cls = [f"[{proj.image_of.index(c)}]" for c in range(quot.order)]
-    nonzero = [f"{cls[c]}+{cls[c]}={cls[quot.add[c][c]]}"
-               for c in range(quot.order) if c != quot.zero]
-    idempotent = all(imod.add[x][x] == x for x in range(imod.order))
-    expect("B(3,1)", "ex-b31.quotient-iso-ideal", True,
-           are_isomorphic(quot, imod),
-           f"claimed S/I and I isomorphic; computed quotient has {', '.join(nonzero)} "
-           f"while the ideal is {'' if idempotent else 'not '}additively idempotent")
+    @contextmanager
+    def limited(instance: str, claim: str):
+        try:
+            yield
+        except LimitExceeded as exc:
+            out.append(ClaimRecord(instance=instance, claim_id=claim, verdict="unknown",
+                                   witness=str(exc), exhaustive=False))
+
+    with limited("B(3,1)", "ex-b31.quotient-iso-ideal"):
+        b31 = catalog.make_B(3, 1)
+        m31 = b31.left_module()
+        i_sub = SubStructure(m31, 0b101)
+        quot, proj = bourne_quotient(m31, i_sub)
+        imod = sub_module(i_sub)[0]
+        # quotient element c is a Bourne class, written [its least member]
+        cls = [f"[{proj.image_of.index(c)}]" for c in range(quot.order)]
+        nonzero = [f"{cls[c]}+{cls[c]}={cls[quot.add[c][c]]}"
+                   for c in range(quot.order) if c != quot.zero]
+        idempotent = all(imod.add[x][x] == x for x in range(imod.order))
+        expect("B(3,1)", "ex-b31.quotient-iso-ideal", True,
+               are_isomorphic(quot, imod),
+               f"claimed S/I and I isomorphic; computed quotient has {', '.join(nonzero)} "
+               f"while the ideal is {'' if idempotent else 'not '}additively idempotent")
     for p in (3, 5):
-        s = catalog.make_B(p + 1, p)
-        subs = enumerate_subsemimodules(s.left_module(), limits)
-        expect(f"B({p + 1},{p})", "ex-exb32.ideal-list",
-               [[0], [0, p], list(range(p + 1))], [sorted(bits(t.members)) for t in subs],
-               truncated="" if subs.exhaustive else "ideal enumeration")
+        with limited(f"B({p + 1},{p})", "ex-exb32.ideal-list"):
+            s = catalog.make_B(p + 1, p)
+            subs = enumerate_subsemimodules(s.left_module(), limits)
+            expect(f"B({p + 1},{p})", "ex-exb32.ideal-list",
+                   [[0], [0, p], list(range(p + 1))], [sorted(bits(t.members)) for t in subs],
+                   truncated="" if subs.exhaustive else "ideal enumeration")
     for name, lat in (("E(M3)", catalog.diamond_m3()), ("E(N5)", catalog.pentagon_n5())):
-        rows = {}
-        truncated = []  # the variants whose C2/C2' search hit a limit
-        for variant, top in (("all-endos", False), ("top-preserving", True)):
-            e = catalog.make_end_semiring(lat, top_preserving=top)
-            sp = semiring_simplicity_profile(e)
-            cp = condition_profile(e, limits)
-            if not cp.exhaustive:
-                truncated.append(variant)
-            rows[variant] = (sp.congruence_simple, not sp.ideal_simple,
-                             cp.c2prime, not cp.c2)
-        satisfying = [variant for variant, row in rows.items() if all(row)]
-        expect(name, "rem-indp.5", (True, True, True, True), rows["all-endos"],
-               f"claimed (cong-simple, not ideal-simple, C2', not C2) = all true; "
-               f"computed all-endos={rows['all-endos']}, "
-               f"top-preserving={rows['top-preserving']}; "
-               + (f"all four hold for {', '.join(satisfying)}" if satisfying
-                  else "no variant satisfies all four"),
-               truncated=("C2/C2' subtractive ideal enumeration of " + ", ".join(truncated))
-               if truncated else "")
+        with limited(name, "rem-indp.5"):
+            rows = {}
+            truncated = []  # the variants whose C2/C2' search hit a limit
+            for variant, top in (("all-endos", False), ("top-preserving", True)):
+                e = catalog.make_end_semiring(lat, top_preserving=top)
+                sp = semiring_simplicity_profile(e)
+                cp = condition_profile(e, limits)
+                if not cp.exhaustive:
+                    truncated.append(variant)
+                rows[variant] = (sp.congruence_simple, not sp.ideal_simple,
+                                 cp.c2prime, not cp.c2)
+            satisfying = [variant for variant, row in rows.items() if all(row)]
+            expect(name, "rem-indp.5", (True, True, True, True), rows["all-endos"],
+                   f"claimed (cong-simple, not ideal-simple, C2', not C2) = all true; "
+                   f"computed all-endos={rows['all-endos']}, "
+                   f"top-preserving={rows['top-preserving']}; "
+                   + (f"all four hold for {', '.join(satisfying)}" if satisfying
+                      else "no variant satisfies all four"),
+                   truncated=("C2/C2' subtractive ideal enumeration of " + ", ".join(truncated))
+                   if truncated else "")
     return out
 
 
@@ -760,7 +775,9 @@ class CorpusReport:
                 + [f"HARD FAIL {r.instance} {r.claim_id}: {r.witness}"
                    for r in recs if r.verdict == "fails"]
                 + [f"discrepancy {r.instance} {r.claim_id}: {r.witness}"
-                   for r in recs if r.verdict == "discrepancy"])
+                   for r in recs if r.verdict == "discrepancy"]
+                + [f"unknown {r.instance} {r.claim_id}: {r.witness}"
+                   for r in recs if r.verdict == "unknown"])
 
 
 def _audit_one(args) -> AuditReport:
@@ -783,9 +800,10 @@ def audit_corpus(order_bound: int = 3, commutative_only: bool = False,
                  limits: Limits = DEFAULT_LIMITS,
                  parallelism: int = 1) -> CorpusReport:
     """Audit every semiring of order 2..``order_bound`` (and the catalog
-    fixtures).  A truncated audit of one instance is reported by its
-    records; a truncated enumeration of the semirings, or a limit hit by
-    :func:`fixture_expectation_records`, raises :class:`LimitExceeded`."""
+    fixtures).  A truncated audit of one instance, or of one fixture
+    expectation (:func:`fixture_expectation_records`), is reported by its
+    records; a truncated enumeration of the semirings raises
+    :class:`LimitExceeded`."""
     tasks: list[tuple[SemiringTable, Limits, str]] = []
     for order in range(2, order_bound + 1):
         stream = enumerate_semirings(order, commutative_only, limits)

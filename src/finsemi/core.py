@@ -22,8 +22,10 @@ on the table it is derived from: a value fixed by one table and a key is
 kept on that table under that key.  Every caller then shares one object,
 and every ``lru_cache`` keyed on it hits by identity instead of comparing
 whole tables.  A semiring table keeps its left module and its zero module
-(:func:`zero_module`).  A module table keeps its subsemimodule and
-subtractive lattices, by limits (see
+(:func:`zero_module`).  A module table keeps its columns (the action
+transposed, one column of scalar actions per element) and its cyclic
+generator (:func:`_cyclic_generator`), which the Hom search reads; its
+subsemimodule and subtractive lattices, by limits (see
 :func:`enumerate_subsemimodules`); each promoted subsemimodule with its
 index map, by mask (:func:`sub_module`); each quotient with its
 projection, by class map (:func:`_quotient`), and each Bourne quotient
@@ -432,6 +434,23 @@ class SemimoduleTable:
         return range(self.order)
 
     @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """``act`` transposed: ``columns[x]`` is (s.x for each scalar s).
+        Computed once per table; not a dataclass field, so it is left out of
+        eq, hash and repr, and a table pickles without it."""
+        return tuple(zip(*self.act))
+
+    @cached_property
+    def cyclic_generator(self) -> int | None:
+        """The least element whose scalar orbit is the whole carrier, or
+        None (see :func:`_cyclic_generator`); read off :attr:`columns` once
+        per table, not a dataclass field, as above."""
+        n = self.order
+        if self.base.order < n:
+            return None
+        return next((g for g, col in enumerate(self.columns) if len(set(col)) == n), None)
+
+    @cached_property
     def _subtractive_lattices(self) -> dict[Limits, Enumeration]:
         """The subtractive enumerations made so far, by their limits; not a
         dataclass field, so it is left out of eq, hash and repr."""
@@ -692,12 +711,11 @@ def sub_module(sub: SubStructure) -> tuple[SemimoduleTable, tuple[int, ...]]:
     if sub.members in stored:
         return stored[sub.members]
     to_parent = tuple(bits(sub.members))
-    back = {p: i for i, p in enumerate(to_parent)}
-    add = tuple(tuple(back[parent.add[x][y]] for y in to_parent) for x in to_parent)
-    act = tuple(tuple(back[parent.act[s][x]] for x in to_parent)
-                for s in range(parent.base.order))
+    back = {p: i for i, p in enumerate(to_parent)}.__getitem__
+    add = tuple(tuple(map(back, map(parent.add[x].__getitem__, to_parent))) for x in to_parent)
+    act = tuple(tuple(map(back, map(row.__getitem__, to_parent))) for row in parent.act)
     mod = SemimoduleTable(base=parent.base, order=len(to_parent), add=add, act=act,
-                          zero=back[parent.zero])
+                          zero=back(parent.zero))
     stored[sub.members] = mod, to_parent
     return mod, to_parent
 
@@ -791,13 +809,7 @@ def _cyclic_generator(parent: Parent) -> int | None:
     x = x.1 ~ x.0 = 0."""
     if isinstance(parent, SemiringTable):
         return parent.one
-    n = parent.order
-    if parent.base.order < n:
-        return None
-    for g in range(n):
-        if len({row[g] for row in parent.act}) == n:
-            return g
-    return None
+    return parent.cyclic_generator
 
 
 class _UnionFind:
@@ -958,9 +970,9 @@ def _quotient(m: SemimoduleTable, rho: CongruencePartition):
     rep = [0] * k
     for x in range(m.order - 1, -1, -1):
         rep[class_of[x]] = x
-    add = tuple(tuple(class_of[m.add[rep[i]][rep[j]]] for j in range(k)) for i in range(k))
-    act = tuple(tuple(class_of[m.act[s][rep[i]]] for i in range(k))
-                for s in range(m.base.order))
+    cls = class_of.__getitem__
+    add = tuple(tuple(map(cls, map(m.add[r].__getitem__, rep))) for r in rep)
+    act = tuple(tuple(map(cls, map(row.__getitem__, rep))) for row in m.act)
     quot = SemimoduleTable(base=m.base, order=k, add=add, act=act,
                            zero=class_of[m.zero])
     stored[class_of] = quot, _linear_map(m, quot, class_of)

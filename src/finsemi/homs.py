@@ -4,7 +4,9 @@ normality classification, sequence exactness and isomorphism search."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import repeat
+from operator import getitem, itemgetter
 from typing import Sequence
 
 from .core import (
@@ -113,7 +115,8 @@ def _scalar_signature(m: SemimoduleTable, x: int) -> tuple[tuple[int, ...], int,
 
 
 def _hom_candidates(source: SemimoduleTable, target: SemimoduleTable, g: int) -> list[int]:
-    """Target elements not ruled out as images of generator ``g``.
+    """Target elements not ruled out as images of generator ``g`` by the DFS
+    (the Yoneda path applies the same partition test to whole columns).
 
     Collapses of g must be reproduced: equal scalar actions on g force
     equal actions on the image, and the additive tail/period of the image
@@ -139,8 +142,9 @@ def enumerate_homs(source: SemimoduleTable, target: SemimoduleTable,
 
     A cyclic source (one whose scalar orbit of some g is the whole carrier,
     see :func:`core._cyclic_generator`) takes the Yoneda path,
-    :func:`_yoneda_homs`: one map per target element that passes g's
-    scalar-partition test.  Any other source takes the DFS,
+    :func:`_yoneda_homs`: one map per target element whose column of
+    scalar actions passes g's scalar-partition test, one tuple comparison
+    per element.  Any other source takes the DFS,
     :func:`_dfs_homs`, which backtracks over images of a generating set
     with forced propagation after every choice.  Each candidate image is
     one node against ``max_hom_nodes``; the zero map is always present in
@@ -167,20 +171,32 @@ def _yoneda_homs(source: SemimoduleTable, target: SemimoduleTable, g: int,
     gives the map s.g -> s.v, and every linear map is one of these, with
     v = f(g).  The map is well defined by the test, additive because
     s.g + t.g = (s + t).g, and S-linear and zero-preserving by the module
-    axioms.  :func:`_hom_candidates` applies exactly that test; its
-    tail/period test is implied by it, as k.g = (1 + ... + 1).g."""
+    axioms.
+
+    The test reads whole columns (:attr:`core.SemimoduleTable.columns`):
+    with ``reps[s]`` the first scalar t with t.g = s.g, v passes iff its
+    column taken at ``reps`` is its column.  That is the scalar-partition
+    test of :func:`_hom_candidates`, whose tail/period test it implies, as
+    k.g = (1 + ... + 1).g.  Zero differs from one, so there are at least
+    two scalars and ``reps`` picks a tuple.  The map of v is v's column
+    taken at the first scalar reaching each element."""
+    col_g = source.columns[g]
     reach: dict[int, int] = {}
-    for s, row in enumerate(source.act):
-        reach.setdefault(row[g], s)
-    scalars = [reach[x] for x in range(source.order)]
-    tact = target.act
+    for s, x in enumerate(col_g):
+        reach.setdefault(x, s)
+    reps = itemgetter(*map(reach.__getitem__, col_g))
+    scalars = tuple(map(reach.__getitem__, range(source.order)))
     found: list[LinearMap] = []
     exhaustive = True
-    for nodes, v in enumerate(_hom_candidates(source, target, g), 1):
+    nodes = 0
+    for col in target.columns:
+        if reps(col) != col:
+            continue
+        nodes += 1
         if nodes > max_nodes:
             exhaustive = False
             break
-        found.append(_linear_map(source, target, tuple(tact[s][v] for s in scalars)))
+        found.append(_linear_map(source, target, tuple(map(col.__getitem__, scalars))))
     found.sort(key=lambda f: f.image_of)
     return Enumeration(items=tuple(found), exhaustive=exhaustive)
 
@@ -274,23 +290,62 @@ def _dfs_homs(source: SemimoduleTable, target: SemimoduleTable,
     return Enumeration(items=tuple(found), exhaustive=exhaustive)
 
 
+class _MapKeys:
+    """The maps out of one source, each by its key, and the tables of sums
+    and composites built on those keys a row at a time.
+
+    A linear map is fixed by its images of a generating set, so those
+    images are its key.  Out of a cyclic source with generator g (see
+    :func:`core._cyclic_generator`) f is keyed by f(g), an int: the key of
+    f + h is f(g) + h(g), and the key of f after h is f(h(g)).  Out of any
+    other source f is keyed by its images of :func:`generating_set`, a
+    tuple, and the same rules apply to each entry."""
+
+    def __init__(self, maps: Sequence[LinearMap]):
+        source = maps[0].source
+        g = _cyclic_generator(source)
+        if g is None:
+            gens = generating_set(source)
+            self.key = lambda image_of: tuple(map(image_of.__getitem__, gens))
+        else:
+            self.key = itemgetter(g)
+        self.cyclic = g is not None
+        self.index = {self.key(f.image_of): i for i, f in enumerate(maps)}
+
+    def _rows(self, steps) -> Table:
+        """Row i holds the index of the key ``steps[i]`` makes of each key."""
+        keys, at = list(self.index), self.index.__getitem__
+        return tuple(tuple(map(at, map(step, keys))) for step in steps)
+
+    def sums(self, add: Table) -> Table:
+        """The table of pointwise sums under the target addition ``add``."""
+        if self.cyclic:
+            return self._rows([add[a].__getitem__ for a in self.index])
+        return self._rows([partial(_entrywise, tuple(map(add.__getitem__, fk)))
+                           for fk in self.index])
+
+    def composites(self, maps: Sequence[LinearMap]) -> Table:
+        """The table of composites: row i is ``maps[i]`` after each map."""
+        if self.cyclic:
+            return self._rows([f.image_of.__getitem__ for f in maps])
+        return self._rows([partial(_entrywise, repeat(f.image_of)) for f in maps])
+
+
+def _entrywise(rows, key: tuple[int, ...]) -> tuple[int, ...]:
+    """Entry i of ``key`` through image row i of ``rows``."""
+    return tuple(map(getitem, rows, key))
+
+
 def _pointwise_sums(target: SemimoduleTable, maps: Sequence[LinearMap]
-                    ) -> tuple[Table, dict[tuple[int, ...], int]]:
+                    ) -> tuple[Table, _MapKeys]:
     """Pointwise addition on ``maps`` (a non-empty list of maps from one
     source into ``target``, closed under pointwise sums) as a table of
-    indices into ``maps``, plus the index of each map's key.
-
-    The table is keyed on generator images: a linear map is fixed by its
-    images of :func:`generating_set` of the source, so that tuple is each
-    map's key, and the key of a sum is the target sums of the two keys."""
-    gens = generating_set(maps[0].source)
-    index = {tuple(f.image_of[x] for x in gens): i for i, f in enumerate(maps)}
-    tadd = target.add
-    add = tuple(
-        tuple(index[tuple(tadd[a][b] for a, b in zip(fk, hk))] for hk in index)
-        for fk in index
-    )
-    return add, index
+    indices into ``maps``, plus the maps' keys (:class:`_MapKeys`): f(g),
+    an int, out of a cyclic source with generator g, else the tuple of f's
+    images of :func:`generating_set`.  Each row is built from the target
+    addition row of one key."""
+    keys = _MapKeys(maps)
+    return keys.sums(target.add), keys
 
 
 # ---------------------------------------------------------------------------

@@ -186,13 +186,13 @@ def _exactness_report(kind: str, m: SemimoduleTable, middle: tuple[Monoid, tuple
 def _through_quotient(p: SemimoduleTable, m: SemimoduleTable, sub):
     """Lift maps p -> M/K through the projection M -> M/K."""
     quot, proj = bourne_quotient(m, sub)
-    return (lambda h: tuple(proj.image_of[y] for y in h)), p, quot
+    return (lambda h: tuple(map(proj.image_of.__getitem__, h))), p, quot
 
 
 def _along_inclusion(j: SemimoduleTable, sub):
     """Extend maps K -> j along the inclusion K -> M."""
     part, to_parent = sub_module(sub)
-    return (lambda h: tuple(h[x] for x in to_parent)), part, j
+    return (lambda h: tuple(map(h.__getitem__, to_parent))), part, j
 
 
 def is_k_projective(p: SemimoduleTable, m: SemimoduleTable,

@@ -20,7 +20,7 @@ from .core import (
     sub_module,
 )
 from .errors import CrosscheckFailure, DegenerateStructure, LimitExceeded
-from .homs import _pointwise_sums, enumerate_homs, generating_set
+from .homs import _pointwise_sums, enumerate_homs
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +137,11 @@ def end_semiring(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS) -> EndSemi
     test_engine_built_values_pass_the_public_checks`` checks these tables
     against :func:`semiring_violations`.
 
+    The tables are built on the maps' keys (see :func:`homs._pointwise_sums`):
+    zero is the map whose key is that of the zero map, and one the map
+    whose key is that of the identity.  Out of a cyclic M with generator g
+    those keys are the elements zero and g themselves.
+
     Raises :class:`LimitExceeded` on a truncated hom search and
     :class:`DegenerateStructure` when M is zero.
     """
@@ -146,16 +151,10 @@ def end_semiring(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS) -> EndSemi
     maps = homs.items
     if len(maps) < 2:
         raise DegenerateStructure("End(M) has a single element; zero equals one")
-    add_rows, index = _pointwise_sums(m, maps)
-    # f after h sends the generators to f of h's generator images
-    mul_rows = tuple(
-        tuple(index[tuple(f.image_of[y] for y in hk)] for hk in index)
-        for f in maps
-    )
-    gens = generating_set(m)
-    zero = index[(m.zero,) * len(gens)]
-    one = index[gens]
-    sr = _semiring_table(add_rows, mul_rows, zero, one)
+    add_rows, keys = _pointwise_sums(m, maps)
+    zero = keys.index[keys.key((m.zero,) * m.order)]
+    one = keys.index[keys.key(range(m.order))]
+    sr = _semiring_table(add_rows, keys.composites(maps), zero, one)
     return EndSemiring(semiring=sr, maps=maps)
 
 

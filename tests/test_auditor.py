@@ -447,6 +447,17 @@ def test_a_truncated_instance_is_unknown_and_the_run_completes(tmp_path, capsys)
     assert out.read_text() == rep.to_jsonl()
 
 
+def test_the_summary_gives_each_unknown_record_its_reason():
+    rep = audit_corpus(order_bound=3, limits=Limits(max_hom_nodes=1))
+    unknown = [r for r in rep.all_records() if r.verdict == "unknown"]
+    assert len(unknown) == 8
+    lines = rep.summary_lines()
+    assert "  unknown: 8" in lines
+    assert [line for line in lines if line.startswith("unknown ")] == [
+        f"unknown {r.instance} {r.claim_id}: {r.witness}" for r in unknown]
+    assert "unknown sr2-000 audit: End(M) enumeration hit the node limit" in lines
+
+
 def test_an_engine_error_in_one_instance_is_a_hard_failure(monkeypatch):
     from finsemi.errors import CrosscheckFailure
 

@@ -1,5 +1,7 @@
 """Command-line behavior: dispatch, exit codes, deterministic reports."""
 
+import json
+
 import pytest
 
 from finsemi.cli import run
@@ -86,6 +88,21 @@ def test_audit_jsonl_deterministic_across_parallelism(tmp_path):
     assert run(["audit", "--order", "2", "--format", "jsonl",
                 "--out", str(out8), "--parallel", "8"]) == 0
     assert out1.read_bytes() == out8.read_bytes()
+
+
+def test_a_hom_limit_in_the_fixture_expectations_keeps_the_report(tmp_path):
+    # End(M) of E(M3) and E(N5) is cut inside the rem-indp.5 expectation;
+    # each cut expectation is one unknown record and the report is written
+    out = tmp_path / "cut.jsonl"
+    assert run(["--limits", "max_hom_nodes=1", "audit", "--order", "2", "--fixtures",
+                "--format", "jsonl", "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    cut = [r for r in records if r["claim_id"] == "rem-indp.5"]
+    assert [r["instance"] for r in cut] == ["E(M3)", "E(N5)"]
+    for r in cut:
+        assert r["verdict"] == "unknown" and not r["exhaustive"]
+        assert r["witness"] == "End(M) enumeration hit the node limit"
+    assert not [r for r in records if r["verdict"] == "fails"]
 
 
 def test_catalog_product(b31_file, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from finsemi import homs
 from finsemi.auditor import _catalog_fixtures, enumerate_semirings
-from finsemi.catalog import make_B
+from finsemi.catalog import make_B, make_end_semiring, pentagon_n5
 from finsemi.core import (
     DEFAULT_LIMITS,
     Limits,
@@ -15,6 +15,8 @@ from finsemi.core import (
     _cyclic_generator,
     bits,
     bourne_congruence,
+    bourne_quotient,
+    enumerate_subsemimodules,
     full_mask,
     identity_map,
     inclusion_map,
@@ -35,7 +37,7 @@ from finsemi.homs import (
     short_exact_equivalences,
     zero_flanked,
 )
-from finsemi.projinj import bounded_family, is_i_injective, is_k_projective
+from finsemi.projinj import bounded_family, hom_monoid, is_i_injective, is_k_projective
 
 
 def _brute_homs(src, tgt):
@@ -100,25 +102,83 @@ def test_generating_set_of_regular_module_is_unit(B31):
     assert generating_set(B31.left_module()) == (1,)
 
 
-def test_yoneda_path_matches_the_dfs():
-    # Hom(C, N) for a cyclic C by the formula against the generator DFS, on
-    # every pair of family members with a cyclic source, over every semiring
-    # of order <= 4 and the catalog fixtures
+def _cyclic_pairs():
+    """Every pair of family members with a cyclic source, over every
+    semiring of order <= 4 and the catalog fixtures."""
     semirings = [s for order in (2, 3, 4) for s in enumerate_semirings(order)]
     semirings += [s for _, s in _catalog_fixtures()]
-    pairs = 0
     for s in semirings:
         family = bounded_family(s)
         for a in family:
-            if _cyclic_generator(a) is None:
-                continue
-            for b in family:
-                yoneda = enumerate_homs(a, b)
-                dfs = homs._dfs_homs(a, b, DEFAULT_LIMITS.max_hom_nodes)
-                assert [f.image_of for f in yoneda] == [f.image_of for f in dfs]
-                assert yoneda.exhaustive == dfs.exhaustive
-                pairs += 1
+            if _cyclic_generator(a) is not None:
+                for b in family:
+                    yield a, b
+
+
+def test_yoneda_path_matches_the_dfs():
+    # Hom(C, N) for a cyclic C by the formula against the generator DFS
+    pairs = 0
+    for a, b in _cyclic_pairs():
+        yoneda = enumerate_homs(a, b)
+        dfs = homs._dfs_homs(a, b, DEFAULT_LIMITS.max_hom_nodes)
+        assert [f.image_of for f in yoneda] == [f.image_of for f in dfs]
+        assert yoneda.exhaustive == dfs.exhaustive
+        pairs += 1
     assert pairs > 1000
+
+
+def test_yoneda_candidates_are_the_scalar_partition_candidates():
+    # the column test of the Yoneda path keeps exactly the images of g that
+    # the partition and tail/period tests of _hom_candidates keep, one map
+    # each, and the map of v sends g to v
+    pairs = 0
+    for a, b in _cyclic_pairs():
+        g = _cyclic_generator(a)
+        images = [f.image_of[g] for f in enumerate_homs(a, b)]
+        assert sorted(images) == homs._hom_candidates(a, b, g)
+        pairs += 1
+    assert pairs > 1000
+
+
+def test_every_cap_keeps_the_first_yoneda_candidates():
+    # each candidate is one node and no other target element is: a cap of
+    # k keeps the maps of the first k candidates (in target element order),
+    # and only the full count is exhaustive.  Out of the regular module of
+    # E(N5), either variant, every element is a candidate; out of a proper
+    # quotient of it some are not.
+    m, top = (make_end_semiring(pentagon_n5(), top_preserving=t).left_module()
+              for t in (False, True))
+    quotients = [bourne_quotient(m, k)[0]
+                 for k in enumerate_subsemimodules(m, subtractive_only=True)]
+    proper = next(q for q in quotients if 1 < len(enumerate_homs(q, m)) < m.order)
+    for source, target in ((m, m), (top, top), (proper, m)):
+        g = _cyclic_generator(source)
+        full = enumerate_homs(source, target)
+        candidates = sorted(f.image_of[g] for f in full)
+        assert full.exhaustive and len(set(candidates)) == len(full)
+        assert (len(full) < target.order) == (source is proper)
+        for cap in range(len(full) + 1):
+            cut = enumerate_homs(source, target, Limits(max_hom_nodes=cap))
+            assert sorted(f.image_of[g] for f in cut) == candidates[:cap]
+            assert [f.image_of for f in cut] == sorted(f.image_of for f in cut)
+            assert set(f.image_of for f in cut) <= set(f.image_of for f in full)
+            assert cut.exhaustive == (cap == len(full))
+
+
+def test_homs_out_of_the_zero_module(B31, catalog_fixtures):
+    # a one-element source: its only map is the zero map, whatever the target
+    targets = [B31.left_module(), zero_module(B31)]
+    targets += [s.left_module() for _, s in catalog_fixtures]
+    for m in targets:
+        z = zero_module(m.base)
+        assert _cyclic_generator(z) == 0
+        homs_out = enumerate_homs(z, m)
+        assert [f.image_of for f in homs_out] == [(m.zero,)] and homs_out.exhaustive
+        assert homs_out[0] == zero_map(z, m)
+        monoid, maps = hom_monoid(z, m)
+        assert (monoid.order, monoid.add, monoid.zero) == (1, ((0,),), 0)
+        cut = enumerate_homs(z, m, Limits(max_hom_nodes=0))
+        assert len(cut) == 0 and not cut.exhaustive
 
 
 def test_cyclic_sources_never_reach_the_dfs(monkeypatch):

@@ -1,12 +1,15 @@
 """Direct sums, Comp, retracts, summand posets, irreducible decompositions."""
 
+import random
 from itertools import combinations
 
 import pytest
 
 from finsemi.auditor import enumerate_semirings
+from finsemi.catalog import diamond_m3, make_end_semiring, pentagon_n5
 from finsemi.core import (
     SubStructure,
+    _cyclic_generator,
     bourne_congruence,
     full_mask,
     generated_subsemimodule,
@@ -77,39 +80,64 @@ def test_end_of_zero_module_degenerate(B31):
         end_semiring(zero_module(B31))
 
 
-def test_end_and_hom_tables_follow_the_maps():
-    # the tables are keyed on generator images; each cell must still be the
-    # composite, or the pointwise sum, of the maps it indexes.  Sums of two
-    # family members are sources with more than one generator.
+def _check_end_table(m):
+    """Each cell of End(m) is the composite, or the pointwise sum, of the
+    maps it indexes; False when End(m) is degenerate."""
+    try:
+        e = end_semiring(m)
+    except DegenerateStructure:
+        return False
+    index = {f.image_of: i for i, f in enumerate(e.maps)}
+    for i, f in enumerate(e.maps):
+        for j, h in enumerate(e.maps):
+            assert e.semiring.mul[i][j] == index[f.compose(h).image_of]
+            pointwise = tuple(m.add[x][y] for x, y in zip(f.image_of, h.image_of))
+            assert e.semiring.add[i][j] == index[pointwise]
+    assert e.maps[e.semiring.zero].is_zero()
+    assert e.maps[e.semiring.one].image_of == tuple(range(m.order))
+    return True
+
+
+def _check_hom_monoid(a, b):
+    monoid, maps = hom_monoid(a, b)
+    index = {f.image_of: i for i, f in enumerate(maps)}
+    for i, f in enumerate(maps):
+        for j, h in enumerate(maps):
+            pointwise = tuple(b.add[x][y] for x, y in zip(f.image_of, h.image_of))
+            assert monoid.add[i][j] == index[pointwise]
+    assert maps[monoid.zero].is_zero()
+
+
+def test_end_and_hom_tables_follow_the_maps(relabelled):
+    # the tables are keyed on generator images, or on the image of the
+    # generator of a cyclic source; each cell must still be the composite,
+    # or the pointwise sum, of the maps it indexes.  Sums of two family
+    # members are sources with more than one generator.
     ends = 0
     for s in (s for order in (2, 3) for s in enumerate_semirings(order)):
         family = bounded_family(s)
         sums = [product_module(a, b) for a, b in combinations(family, 2)
                 if a.order * b.order <= 9]
         for m in family + sums:
-            try:
-                e = end_semiring(m)
-            except DegenerateStructure:
-                continue
-            ends += 1
-            index = {f.image_of: i for i, f in enumerate(e.maps)}
-            for i, f in enumerate(e.maps):
-                for j, h in enumerate(e.maps):
-                    assert e.semiring.mul[i][j] == index[f.compose(h).image_of]
-                    pointwise = tuple(m.add[x][y] for x, y in zip(f.image_of, h.image_of))
-                    assert e.semiring.add[i][j] == index[pointwise]
-            assert e.maps[e.semiring.zero].is_zero()
-            assert e.maps[e.semiring.one].image_of == tuple(range(m.order))
+            ends += _check_end_table(m)
         for a in family + sums:
             for b in family:
-                monoid, maps = hom_monoid(a, b)
-                index = {f.image_of: i for i, f in enumerate(maps)}
-                for i, f in enumerate(maps):
-                    for j, h in enumerate(maps):
-                        pointwise = tuple(b.add[x][y] for x, y in zip(f.image_of, h.image_of))
-                        assert monoid.add[i][j] == index[pointwise]
-                assert maps[monoid.zero].is_zero()
+                _check_hom_monoid(a, b)
     assert ends > 20
+    # the regular modules of relabelled E(M3) and E(N5), both variants:
+    # cyclic sources of order 27 to 50, where the tables are keyed by ints
+    orders = []
+    for lat in (diamond_m3(), pentagon_n5()):
+        for top in (False, True):
+            s = make_end_semiring(lat, top_preserving=top)
+            pi = list(range(s.order))
+            random.Random(s.order).shuffle(pi)
+            m = relabelled(s, pi).left_module()
+            assert _cyclic_generator(m) is not None
+            assert _check_end_table(m)
+            _check_hom_monoid(m, m)
+            orders.append(m.order)
+    assert min(orders) >= 27 and max(orders) == 50
 
 
 def test_comp_examples(B, B31, BxB):
