@@ -4,8 +4,7 @@ normality classification, sequence exactness and isomorphism search."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import repeat
+from functools import lru_cache
 from operator import getitem, itemgetter
 from typing import Sequence
 
@@ -96,10 +95,9 @@ def _stages(m: SemimoduleTable) -> tuple[tuple[tuple, ...], ...]:
 def _scalar_signature(m: SemimoduleTable, x: int) -> tuple[tuple[int, ...], int, int]:
     """Iso-invariant collapse data of one element: the partition of scalars
     by their action on x, and the tail/period of x, 2x, 3x, ..."""
-    col = tuple(m.act[s][x] for s in range(m.base.order))
     remap: dict[int, int] = {}
     part = []
-    for v in col:
+    for v in m.columns[x]:
         if v not in remap:
             remap[v] = len(remap)
         part.append(remap[v])
@@ -114,26 +112,29 @@ def _scalar_signature(m: SemimoduleTable, x: int) -> tuple[tuple[int, ...], int,
         seen[cur] = step
 
 
-def _hom_candidates(source: SemimoduleTable, target: SemimoduleTable, g: int) -> list[int]:
-    """Target elements not ruled out as images of generator ``g`` by the DFS
-    (the Yoneda path applies the same partition test to whole columns).
+def _first_scalars(m: SemimoduleTable, g: int) -> dict[int, int]:
+    """For each element s.g of the orbit of ``g``, the first scalar s that
+    reaches it."""
+    first: dict[int, int] = {}
+    for s, x in enumerate(m.columns[g]):
+        first.setdefault(x, s)
+    return first
 
-    Collapses of g must be reproduced: equal scalar actions on g force
-    equal actions on the image, and the additive tail/period of the image
-    must divide into g's.
+
+def _hom_candidates(source: SemimoduleTable, target: SemimoduleTable, g: int) -> list[int]:
+    """Target elements that can be the image of ``g`` under a linear map, in
+    element order: those v with s.g = t.g => s.v = t.v for all scalars.
+
+    The test reads whole columns (:attr:`core.SemimoduleTable.columns`):
+    with ``reps[s]`` the first scalar t with t.g = s.g, v passes iff its
+    column taken at ``reps`` is its column.  Zero differs from one, so
+    there are at least two scalars and ``reps`` picks a tuple.  The test
+    implies that the additive tail/period of v divides into g's, as
+    k.g = (1 + ... + 1).g.
     """
-    part_g, tail_g, period_g = _scalar_signature(source, g)
-    blocks: dict[int, list[int]] = {}
-    for s, b in enumerate(part_g):
-        blocks.setdefault(b, []).append(s)
-    out = []
-    for v in range(target.order):
-        part_v, tail_v, period_v = _scalar_signature(target, v)
-        if tail_v > tail_g or period_g % period_v:
-            continue
-        if all(len({part_v[s] for s in ss}) == 1 for ss in blocks.values()):
-            out.append(v)
-    return out
+    first = _first_scalars(source, g)
+    reps = itemgetter(*map(first.__getitem__, source.columns[g]))
+    return [v for v, col in enumerate(target.columns) if reps(col) == col]
 
 
 def enumerate_homs(source: SemimoduleTable, target: SemimoduleTable,
@@ -171,32 +172,19 @@ def _yoneda_homs(source: SemimoduleTable, target: SemimoduleTable, g: int,
     gives the map s.g -> s.v, and every linear map is one of these, with
     v = f(g).  The map is well defined by the test, additive because
     s.g + t.g = (s + t).g, and S-linear and zero-preserving by the module
-    axioms.
-
-    The test reads whole columns (:attr:`core.SemimoduleTable.columns`):
-    with ``reps[s]`` the first scalar t with t.g = s.g, v passes iff its
-    column taken at ``reps`` is its column.  That is the scalar-partition
-    test of :func:`_hom_candidates`, whose tail/period test it implies, as
-    k.g = (1 + ... + 1).g.  Zero differs from one, so there are at least
-    two scalars and ``reps`` picks a tuple.  The map of v is v's column
-    taken at the first scalar reaching each element."""
-    col_g = source.columns[g]
-    reach: dict[int, int] = {}
-    for s, x in enumerate(col_g):
-        reach.setdefault(x, s)
-    reps = itemgetter(*map(reach.__getitem__, col_g))
-    scalars = tuple(map(reach.__getitem__, range(source.order)))
+    axioms.  :func:`_hom_candidates` applies exactly that test, and the map
+    of each candidate v is v's column taken at the first scalar reaching
+    each element."""
+    first = _first_scalars(source, g)
+    scalars = tuple(map(first.__getitem__, range(source.order)))
+    columns = target.columns
     found: list[LinearMap] = []
     exhaustive = True
-    nodes = 0
-    for col in target.columns:
-        if reps(col) != col:
-            continue
-        nodes += 1
+    for nodes, v in enumerate(_hom_candidates(source, target, g), 1):
         if nodes > max_nodes:
             exhaustive = False
             break
-        found.append(_linear_map(source, target, tuple(map(col.__getitem__, scalars))))
+        found.append(_linear_map(source, target, tuple(map(columns[v].__getitem__, scalars))))
     found.sort(key=lambda f: f.image_of)
     return Enumeration(items=tuple(found), exhaustive=exhaustive)
 
@@ -321,19 +309,15 @@ class _MapKeys:
         """The table of pointwise sums under the target addition ``add``."""
         if self.cyclic:
             return self._rows([add[a].__getitem__ for a in self.index])
-        return self._rows([partial(_entrywise, tuple(map(add.__getitem__, fk)))
-                           for fk in self.index])
+        return self._rows([lambda hk, rows=tuple(map(add.__getitem__, fk)):
+                           tuple(map(getitem, rows, hk)) for fk in self.index])
 
     def composites(self, maps: Sequence[LinearMap]) -> Table:
         """The table of composites: row i is ``maps[i]`` after each map."""
         if self.cyclic:
             return self._rows([f.image_of.__getitem__ for f in maps])
-        return self._rows([partial(_entrywise, repeat(f.image_of)) for f in maps])
-
-
-def _entrywise(rows, key: tuple[int, ...]) -> tuple[int, ...]:
-    """Entry i of ``key`` through image row i of ``rows``."""
-    return tuple(map(getitem, rows, key))
+        return self._rows([lambda hk, im=f.image_of.__getitem__: tuple(map(im, hk))
+                           for f in maps])
 
 
 def _pointwise_sums(target: SemimoduleTable, maps: Sequence[LinearMap]

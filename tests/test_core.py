@@ -690,22 +690,24 @@ def test_subtractive_lattice_is_stored_per_table_and_limits(monkeypatch):
     assert [t.members for t in again] == [t.members for t in first]
 
 
-def test_table_with_stored_columns_survives_pickling(catalog_fixtures):
+def test_table_with_stored_columns_survives_pickling(B31, catalog_fixtures):
     import pickle
 
-    for name, s in catalog_fixtures:
-        m = s.left_module()
-        for t in (m, product_module(m, m)):
-            n = t.order
-            assert t.columns == tuple(tuple(row[x] for row in t.act) for x in range(n))
-            orbits = [x for x in range(n) if len({row[x] for row in t.act}) == n]
-            assert t.cyclic_generator == (orbits[0] if orbits else None), name
-            assert {"columns", "cyclic_generator"} <= set(vars(t))
-            assert not {"columns", "cyclic_generator"} & {f.name for f in fields(t)}
-            back = pickle.loads(pickle.dumps(t))
-            assert back == t and hash(back) == hash(t) and repr(back) == repr(t), name
-            assert not {"columns", "cyclic_generator"} & set(vars(back)), name
-            assert back.columns == t.columns and back.cyclic_generator == t.cyclic_generator
+    # the regular module of each fixture is cyclic; a square of one is not
+    tables = [s.left_module() for _, s in catalog_fixtures]
+    tables.append(product_module(B31.left_module(), B31.left_module()))
+    for t in tables:
+        n = t.order
+        assert t.columns == tuple(tuple(row[x] for row in t.act) for x in range(n))
+        orbits = [x for x in range(n) if len({row[x] for row in t.act}) == n]
+        assert t.cyclic_generator == (orbits[0] if orbits else None)
+        assert {"columns", "cyclic_generator"} <= set(vars(t))
+        assert not {"columns", "cyclic_generator"} & {f.name for f in fields(t)}
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and hash(back) == hash(t) and repr(back) == repr(t)
+        assert not {"columns", "cyclic_generator"} & set(vars(back))
+        assert back.columns == t.columns and back.cyclic_generator == t.cyclic_generator
+    assert tables[0].cyclic_generator is not None and tables[-1].cyclic_generator is None
 
 
 def test_table_with_a_stored_lattice_survives_pickling():
