@@ -42,7 +42,6 @@ from .homs import (
     are_isomorphic,
     enumerate_homs,
     short_exact_equivalences,
-    zero_flanked,
 )
 from .projinj import (
     bounded_family,
@@ -561,14 +560,13 @@ def lemma_suite(s: SemiringTable, limits: Limits = DEFAULT_LIMITS,
         # short-exact characterizations over generated (f, g) grids
         quots = [_quotient(mod, rho)[0] for rho in enumerate_congruences(mod, limits)]
         l_mods = [sub_module(sub)[0] for sub in subs]
-        g_lists = [(qmod, enumerate_homs(mod, qmod, limits).exhaustive_items("hom enumeration"))
+        g_lists = [enumerate_homs(mod, qmod, limits).exhaustive_items("hom enumeration")
                    for qmod in quots]
         for lmod in l_mods:
             for fmap in enumerate_homs(lmod, mod, limits).exhaustive_items("hom enumeration"):
-                for qmod, gmaps in g_lists:
+                for gmaps in g_lists:
                     for gmap in gmaps:
-                        seq = zero_flanked(lmod, fmap, mod, gmap, qmod)
-                        flags = short_exact_equivalences(seq)
+                        flags = short_exact_equivalences(fmap, gmap)
                         if not flags["exact"] == flags["iso"] == flags["explicit"]:
                             failed["cor-m-l"] = f"f={fmap.image_of} g={gmap.image_of}: {flags}"
     for claim in ("lem-golan-16-6", "lem-lemint", "rem-d-iso.2", "rem-rem1", "cor-m-l"):
@@ -588,15 +586,16 @@ def _direct_inside(mod: SemimoduleTable, nmask: int, lmask: int, kmask: int) -> 
 
 
 def einj_witness_construction_ok(s: SemiringTable,
-                                 family: list[tuple[str, SemimoduleTable]],
+                                 family: list[SemimoduleTable],
                                  limits: Limits = DEFAULT_LIMITS) -> bool:
     """When a subtractive ideal splits off, any extension h of g along the
     inclusion must equal (g o projection) + s -> (s e') h(1), for every h
     into a member j of ``family`` (as :func:`bounded_family` builds it).
-    Raises :class:`LimitExceeded` on a truncated hom search."""
+    Raises :class:`LimitExceeded` on a truncated enumeration."""
     m = s.left_module()
     poset = summand_poset(m, limits)
-    for sub in enumerate_subsemimodules(m, limits, subtractive_only=True):
+    subt = enumerate_subsemimodules(m, limits, subtractive_only=True)
+    for sub in subt.exhaustive_items("subtractive ideal enumeration"):
         comask = poset.complements.get(sub.members)
         if comask is None:
             continue
@@ -621,10 +620,9 @@ def einj_witness_construction_ok(s: SemiringTable,
 
 
 def audit_instance(s: SemiringTable, limits: Limits = DEFAULT_LIMITS,
-                   instance: str = "", scope: str = "") -> AuditReport:
+                   instance: str = "") -> AuditReport:
     """Evaluate every chain and equivalence claim on one instance."""
-    if not scope:
-        scope = "full" if s.order <= FULL_SCOPE_MAX_ORDER else "reduced"
+    scope = "full" if s.order <= FULL_SCOPE_MAX_ORDER else "reduced"
     digest = instance_digest(s) if s.order <= 6 else "-"
     instance = instance or f"sr{s.order}-{digest}"
     facts = InstanceFacts(s, limits, scope)

@@ -1,5 +1,6 @@
 """Linear maps between finite semimodules: Hom-set enumeration, kernels,
-normality classification, sequence exactness and isomorphism search."""
+normality classification, exactness of short sequences (given by their two
+maps f: L -> M and g: M -> N) and isomorphism search."""
 
 from __future__ import annotations
 
@@ -92,24 +93,18 @@ def _stages(m: SemimoduleTable) -> tuple[tuple[tuple, ...], ...]:
 
 
 @lru_cache(maxsize=262144)
-def _scalar_signature(m: SemimoduleTable, x: int) -> tuple[tuple[int, ...], int, int]:
-    """Iso-invariant collapse data of one element: the partition of scalars
-    by their action on x, and the tail/period of x, 2x, 3x, ..."""
+def _scalar_signature(m: SemimoduleTable, x: int) -> tuple[int, ...]:
+    """Iso-invariant collapse data of one element: the partition of the
+    scalars by their action on x, each scalar labelled by the block it
+    opens in scalar order.
+
+    The partition also fixes which of x, 2x, 3x, ... coincide, hence the
+    additive tail and period of x: kx = (k.1)x, so jx = kx iff the scalars
+    j.1 and k.1 act alike on x.  :func:`find_isomorphism` compares these
+    only between modules over one base, so adding the tail and period to
+    the key would not change its answers."""
     remap: dict[int, int] = {}
-    part = []
-    for v in m.columns[x]:
-        if v not in remap:
-            remap[v] = len(remap)
-        part.append(remap[v])
-    seen = {x: 0}
-    cur = x
-    step = 0
-    while True:
-        cur = m.add[cur][x]
-        step += 1
-        if cur in seen:
-            return tuple(part), seen[cur], step - seen[cur]
-        seen[cur] = step
+    return tuple(remap.setdefault(v, len(remap)) for v in m.columns[x])
 
 
 def _first_scalars(m: SemimoduleTable, g: int) -> dict[int, int]:
@@ -287,7 +282,8 @@ class _MapKeys:
     :func:`core._cyclic_generator`) f is keyed by f(g), an int: the key of
     f + h is f(g) + h(g), and the key of f after h is f(h(g)).  Out of any
     other source f is keyed by its images of :func:`generating_set`, a
-    tuple, and the same rules apply to each entry."""
+    tuple, and the same rules apply to each entry.  :func:`projinj.hom_monoid`
+    reads the sums, :func:`summands.end_semiring` the sums and composites."""
 
     def __init__(self, maps: Sequence[LinearMap]):
         source = maps[0].source
@@ -318,18 +314,6 @@ class _MapKeys:
             return self._rows([f.image_of.__getitem__ for f in maps])
         return self._rows([lambda hk, im=f.image_of.__getitem__: tuple(map(im, hk))
                            for f in maps])
-
-
-def _pointwise_sums(target: SemimoduleTable, maps: Sequence[LinearMap]
-                    ) -> tuple[Table, _MapKeys]:
-    """Pointwise addition on ``maps`` (a non-empty list of maps from one
-    source into ``target``, closed under pointwise sums) as a table of
-    indices into ``maps``, plus the maps' keys (:class:`_MapKeys`): f(g),
-    an int, out of a cyclic source with generator g, else the tuple of f's
-    images of :func:`generating_set`.  Each row is built from the target
-    addition row of one key."""
-    keys = _MapKeys(maps)
-    return keys.sums(target.add), keys
 
 
 # ---------------------------------------------------------------------------
@@ -390,37 +374,12 @@ def are_isomorphic(m: SemimoduleTable, n: SemimoduleTable) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# sequences
-
-
-@dataclass(frozen=True)
-class SequenceSpec:
-    """A composable chain of linear maps, optionally flanked by zero modules."""
-
-    modules: tuple[SemimoduleTable, ...]
-    maps: tuple[LinearMap, ...]
-
-    def __post_init__(self):
-        if len(self.modules) != len(self.maps) + 1:
-            raise NotComposable("need one more module than maps")
-        for i, f in enumerate(self.maps):
-            if f.source != self.modules[i] or f.target != self.modules[i + 1]:
-                raise NotComposable(f"map {i} does not match its endpoints")
-
-
-def zero_flanked(l: SemimoduleTable, f: LinearMap, m: SemimoduleTable,
-                 g: LinearMap, n: SemimoduleTable) -> SequenceSpec:
-    """0 -> L -f-> M -g-> N -> 0 with explicit zero modules at the ends."""
-    z = zero_module(l.base)
-    return SequenceSpec(
-        modules=(z, l, m, n, z),
-        maps=(zero_map(z, l), f, g, zero_map(n, z)),
-    )
+# short exact sequences
 
 
 @dataclass(frozen=True)
 class JunctionClass:
-    """Exactness flags at one inner module of a sequence."""
+    """Exactness flags at the middle module of a composable pair of maps."""
 
     proper_exact: bool
     semi_exact: bool
@@ -438,32 +397,28 @@ def classify_junction(f: LinearMap, g: LinearMap) -> JunctionClass:
     return JunctionClass(proper_exact=proper, semi_exact=semi, exact=exact)
 
 
-def classify_sequence(seq: SequenceSpec) -> tuple[JunctionClass, ...]:
-    return tuple(
-        classify_junction(seq.maps[i], seq.maps[i + 1])
-        for i in range(len(seq.maps) - 1)
-    )
+def is_short_exact(f: LinearMap, g: LinearMap) -> bool:
+    """0 -> L -f-> M -g-> N -> 0 is exact at L, M and N: each junction is
+    classified in that order, the outer two against the zero maps in from
+    and out to the zero module, up to the first that is not exact."""
+    if f.target != g.source:
+        raise NotComposable("f and g do not meet")
+    z = zero_module(f.source.base)
+    return all(classify_junction(a, b).exact
+               for a, b in ((zero_map(z, f.source), f), (f, g), (g, zero_map(g.target, z))))
 
 
-def is_short_exact(seq: SequenceSpec) -> bool:
-    if len(seq.modules) != 5:
-        return False
-    if seq.modules[0].order != 1 or seq.modules[4].order != 1:
-        return False
-    return all(j.exact for j in classify_sequence(seq))
+def short_exact_equivalences(f: LinearMap, g: LinearMap) -> dict[str, bool]:
+    """The three equivalent descriptions of 0 -> L -f-> M -g-> N -> 0.
 
-
-def short_exact_equivalences(seq: SequenceSpec) -> dict[str, bool]:
-    """The three equivalent descriptions of a five-term sequence.
-
-    ``iso``: f corestricts to an isomorphism L -> Ker(g) and the induced map
-    M/f(L) -> N is an isomorphism.  ``explicit``: f injective, f(L) = Ker(g),
-    g surjective and k-normal.  All three agree with ``exact`` on every
-    finite instance; the auditor asserts that.
+    ``exact``: :func:`is_short_exact`.  ``iso``: f corestricts to an
+    isomorphism L -> Ker(g) and the induced map M/f(L) -> N is an
+    isomorphism.  ``explicit``: f injective, f(L) = Ker(g), g surjective
+    and k-normal.  All three agree on every finite instance; the auditor
+    asserts that.  Raises :class:`NotComposable` when f and g do not meet.
     """
-    z0, l, m, n, z1 = seq.modules
-    f, g = seq.maps[1], seq.maps[2]
-    exact = is_short_exact(seq)
+    m, n = g.source, g.target
+    exact = is_short_exact(f, g)
 
     embeds = f.is_injective() and f.image_mask() == g.kernel_mask()
     explicit = embeds and g.is_surjective() and g.is_k_normal()

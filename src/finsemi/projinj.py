@@ -55,7 +55,7 @@ from .core import (
     mask_of,
     sub_module,
 )
-from .homs import _pointwise_sums, are_isomorphic, enumerate_homs
+from .homs import _MapKeys, are_isomorphic, enumerate_homs
 from .semisimple import module_test_family
 
 
@@ -97,7 +97,7 @@ def hom_monoid(source: SemimoduleTable, target: SemimoduleTable,
                limits: Limits = DEFAULT_LIMITS) -> tuple[Monoid, tuple[LinearMap, ...]]:
     """Hom(source, target) under pointwise addition."""
     maps = _all_homs(source, target, limits)
-    add, _ = _pointwise_sums(target, maps)
+    add = _MapKeys(maps).sums(target.add)
     zero = next(i for i, f in enumerate(maps) if f.is_zero())
     return Monoid(order=len(maps), add=add, zero=zero), maps
 

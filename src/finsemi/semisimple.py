@@ -28,7 +28,7 @@ from .core import (
 )
 from .errors import CrosscheckFailure, HypothesisUnmet
 from .homs import enumerate_homs
-from .summands import SummandPoset, _direct_sum, _sumset, summand_poset
+from .summands import _direct_sum, _sumset, summand_poset
 
 # full enumerations and hom cross-checks are only run below this carrier size
 CROSSCHECK_MAX_ORDER = 12
@@ -200,7 +200,7 @@ class SemisimplicityReport:
     congruence_parts: tuple[int, ...] | None
 
 
-def _search_simple_decomposition(m: SemimoduleTable, poset: SummandPoset,
+def _search_simple_decomposition(m: SemimoduleTable,
                                  simple_masks: list[int]) -> tuple[int, ...] | None:
     """First direct-sum decomposition of m into parts drawn from
     ``simple_masks``, in canonical order; None when there is none."""
@@ -239,8 +239,8 @@ def semisimplicity_profile(s: SemiringTable, limits: Limits = DEFAULT_LIMITS) ->
             ideal_simple_masks.append(mask)
         if is_module_congruence_simple(part)[0]:
             cong_simple_masks.append(mask)
-    ideal_parts = _search_simple_decomposition(m, poset, ideal_simple_masks)
-    cong_parts = _search_simple_decomposition(m, poset, cong_simple_masks)
+    ideal_parts = _search_simple_decomposition(m, ideal_simple_masks)
+    cong_parts = _search_simple_decomposition(m, cong_simple_masks)
     return SemisimplicityReport(
         ideal_semisimple=ideal_parts is not None,
         congruence_semisimple=cong_parts is not None,
@@ -334,7 +334,8 @@ class ComsumCertificate:
 def comsum_check(s: SemiringTable, limits: Limits = DEFAULT_LIMITS) -> list[ComsumCertificate]:
     """On a commutative ideal-semisimple semiring, every subtractive ideal
     must equal the direct sum of the simple parts it meets and must be a
-    summand.  Returns one certificate per subtractive ideal."""
+    summand.  Returns one certificate per subtractive ideal; raises
+    :class:`LimitExceeded` when their enumeration is truncated."""
     if not s.commutative:
         raise HypothesisUnmet("needs a commutative semiring")
     profile = semisimplicity_profile(s, limits)
@@ -345,7 +346,8 @@ def comsum_check(s: SemiringTable, limits: Limits = DEFAULT_LIMITS) -> list[Coms
     poset = summand_poset(m, limits)
     zero_bit = 1 << m.zero
     out = []
-    for sub in enumerate_subsemimodules(m, limits, subtractive_only=True):
+    subt = enumerate_subsemimodules(m, limits, subtractive_only=True)
+    for sub in subt.exhaustive_items("subtractive ideal enumeration"):
         meets = tuple(p for p in parts if (p & sub.members) != zero_bit)
         seed = 0
         for p in meets:

@@ -20,7 +20,7 @@ from .core import (
     sub_module,
 )
 from .errors import CrosscheckFailure, DegenerateStructure, LimitExceeded
-from .homs import _pointwise_sums, enumerate_homs
+from .homs import _MapKeys, enumerate_homs
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +137,7 @@ def end_semiring(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS) -> EndSemi
     test_engine_built_values_pass_the_public_checks`` checks these tables
     against :func:`semiring_violations`.
 
-    The tables are built on the maps' keys (see :func:`homs._pointwise_sums`):
+    The tables are built on the maps' keys (see :class:`homs._MapKeys`):
     zero is the map whose key is that of the zero map, and one the map
     whose key is that of the identity.  Out of a cyclic M with generator g
     those keys are the elements zero and g themselves.
@@ -151,10 +151,10 @@ def end_semiring(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS) -> EndSemi
     maps = homs.items
     if len(maps) < 2:
         raise DegenerateStructure("End(M) has a single element; zero equals one")
-    add_rows, keys = _pointwise_sums(m, maps)
+    keys = _MapKeys(maps)
     zero = keys.index[keys.key((m.zero,) * m.order)]
     one = keys.index[keys.key(range(m.order))]
-    sr = _semiring_table(add_rows, keys.composites(maps), zero, one)
+    sr = _semiring_table(keys.sums(m.add), keys.composites(maps), zero, one)
     return EndSemiring(semiring=sr, maps=maps)
 
 

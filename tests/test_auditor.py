@@ -220,6 +220,12 @@ def test_einj_witness_construction_reads_every_hom():
         einj_witness_construction_ok(s, [mm], Limits(max_hom_nodes=3))
 
 
+def test_einj_witness_construction_reads_every_subtractive_ideal(BxB):
+    # a lattice cut after one ideal raises instead of passing on that ideal
+    with pytest.raises(LimitExceeded, match="^subtractive ideal enumeration truncated$"):
+        einj_witness_construction_ok(BxB, bounded_family(BxB), Limits(max_results=1))
+
+
 def test_fixture_expectations_emit_known_discrepancies():
     records = fixture_expectation_records()
     by_id = {(r.instance, r.claim_id): r for r in records}

@@ -25,7 +25,6 @@ from finsemi.core import (
     enumerate_subsemimodules,
     full_mask,
     generated_subsemimodule,
-    identity_map,
     linear_map_violations,
     make_partition,
     mask_of,
@@ -782,8 +781,6 @@ def test_subsemimodule_lattice_is_stored_per_table_and_limits(monkeypatch):
 def test_table_with_filled_stores_survives_pickling(B31):
     import pickle
 
-    from finsemi.homs import zero_flanked
-
     s = make_B(3, 1)
     m = s.left_module()
     z = zero_module(s)
@@ -793,8 +790,8 @@ def test_table_with_filled_stores_survives_pickling(B31):
     quot, _ = bourne_quotient(m, SubStructure(m, 0b101))
     # m is the source of a zero map into z and z of one into m, so the two
     # stores key each table by the other
-    zero_flanked(m, identity_map(m), m, zero_map(m, z), z)
-    zero_flanked(z, zero_map(z, m), m, identity_map(m), m)
+    zero_map(m, z)
+    zero_map(z, m)
     for t in (s, m, z, part, quot):
         back = pickle.loads(pickle.dumps(t))
         assert back == t and hash(back) == hash(t) and back is not t

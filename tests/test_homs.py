@@ -2,6 +2,7 @@
 
 import itertools
 
+import oracle
 import pytest
 
 from finsemi import homs
@@ -28,14 +29,14 @@ from finsemi.core import (
 from finsemi.errors import AxiomViolations, LimitExceeded, NotComposable
 from finsemi.homs import (
     are_isomorphic,
-    classify_sequence,
+    classify_junction,
     enumerate_homs,
     find_isomorphism,
     generating_set,
+    is_short_exact,
     kernel_image,
     normality_profile,
     short_exact_equivalences,
-    zero_flanked,
 )
 from finsemi.projinj import bounded_family, hom_monoid, is_i_injective, is_k_projective
 
@@ -266,50 +267,54 @@ def test_injective_implies_k_normal_surjective_implies_i_normal(B31, B43):
 
 def test_canonical_sequence_is_exact(B31):
     m, ideal = _ideal(B31)
-    part, incl = inclusion_map(ideal)
-    quot, proj = quotient_by_congruence(m, bourne_congruence(m, ideal))
-    seq = zero_flanked(part, incl, m, proj, quot)
-    assert all(j.exact for j in classify_sequence(seq))
+    _, incl = inclusion_map(ideal)
+    _, proj = quotient_by_congruence(m, bourne_congruence(m, ideal))
+    assert classify_junction(incl, proj).exact
+    assert is_short_exact(incl, proj)
 
 
 def test_non_subtractive_kernel_gives_semi_exact_only(B43):
     # 0 -> {0,3} -> B(4,3) -> quotient -> 0 with the plain inclusion
     m = B43.left_module()
     sub = SubStructure(m, 0b1001)
-    part, incl = inclusion_map(sub)
-    quot, proj = quotient_by_congruence(m, bourne_congruence(m, sub))
-    seq = zero_flanked(part, incl, m, proj, quot)
-    middle = classify_sequence(seq)[1]
+    _, incl = inclusion_map(sub)
+    _, proj = quotient_by_congruence(m, bourne_congruence(m, sub))
+    middle = classify_junction(incl, proj)
     assert middle.semi_exact and not middle.proper_exact and not middle.exact
+    assert not is_short_exact(incl, proj)
 
 
 def test_identity_sequence_exact(B31):
     m = B31.left_module()
     z = zero_module(B31)
-    seq = zero_flanked(m, identity_map(m), m, zero_map(m, z), z)
-    assert all(j.exact for j in classify_sequence(seq))
+    assert is_short_exact(identity_map(m), zero_map(m, z))
 
 
 def test_left_flank_exact_iff_injective(B31):
+    # the junction at L is exact iff f is one-to-one, and an injective
+    # endomorphism of a finite module is onto, so then 0 -> M -f-> M -> 0
+    # is exact
     m = B31.left_module()
     z = zero_module(B31)
     for f in enumerate_homs(m, m):
-        junction = classify_sequence(
-            zero_flanked(m, f, m, zero_map(m, z), z))[0]
-        assert junction.exact == f.is_injective()
+        assert classify_junction(zero_map(z, m), f).exact == f.is_injective()
+        assert is_short_exact(f, zero_map(m, z)) == f.is_injective()
 
 
 def test_right_flank_exact_iff_surjective(B31):
+    # the junction at N is exact iff g is onto; 0 -> 0 -> M -g-> N -> 0 is
+    # exact iff g is also one-to-one
     m, ideal = _ideal(B31)
     quot, _ = quotient_by_congruence(m, bourne_congruence(m, ideal))
     z = zero_module(B31)
     for g in enumerate_homs(m, quot):
-        junction = classify_sequence(
-            zero_flanked(z, zero_map(z, m), m, g, quot))[-1]
-        assert junction.exact == g.is_surjective()
+        assert classify_junction(g, zero_map(quot, z)).exact == g.is_surjective()
+        assert is_short_exact(zero_map(z, m), g) == (g.is_surjective() and g.is_injective())
 
 
 def test_short_exact_equivalences_agree(B31, B43):
+    # the three descriptions agree, and ``exact`` is the naive definition:
+    # ker f = 0, f and g k-normal, im f = ker g, g onto
     for s in (B31, B43):
         m = s.left_module()
         subs = [SubStructure(m, 0b001), SubStructure(m, full_mask(m.order))]
@@ -321,8 +326,26 @@ def test_short_exact_equivalences_agree(B31, B43):
             for q in quots:
                 for f in enumerate_homs(lmod, m):
                     for g in enumerate_homs(m, q):
-                        flags = short_exact_equivalences(zero_flanked(lmod, f, m, g, q))
+                        flags = short_exact_equivalences(f, g)
                         assert flags["exact"] == flags["iso"] == flags["explicit"]
+                        f_img = {f.image_of[x] for x in range(lmod.order)}
+                        g_ker = {y for y in range(m.order) if g.image_of[y] == q.zero}
+                        naive = ([x for x in range(lmod.order) if f.image_of[x] == m.zero]
+                                 == [lmod.zero]
+                                 and oracle.is_k_normal(oracle.as_module(lmod), f.image_of)
+                                 and oracle.is_k_normal(oracle.as_module(m), g.image_of)
+                                 and f_img == g_ker
+                                 and set(g.image_of) == set(range(q.order)))
+                        assert flags["exact"] == naive
+
+
+def test_maps_that_do_not_meet_are_rejected(B31):
+    m, ideal = _ideal(B31)
+    part, incl = inclusion_map(ideal)
+    with pytest.raises(NotComposable):
+        is_short_exact(incl, identity_map(part))
+    with pytest.raises(NotComposable):
+        short_exact_equivalences(incl, identity_map(part))
 
 
 def test_mismatched_endpoints_rejected(B31, B):
@@ -414,3 +437,22 @@ def test_truncated_hom_search_is_not_a_missing_isomorphism(B43, monkeypatch):
 def test_different_orders_never_isomorphic(B31):
     m = B31.left_module()
     assert find_isomorphism(m, zero_module(B31)) is None
+
+
+def test_scalar_partition_fixes_the_tail_and_period():
+    # kx = (k.1)x, so over one base the partition of the scalars by their
+    # action on x decides which of x, 2x, 3x, ... coincide; the signature
+    # needs no tail and period of its own
+    modules = [m for order in (2, 3, 4) for s in enumerate_semirings(order)
+               for m in bounded_family(s)]
+    modules += [s.left_module() for _, s in _catalog_fixtures()]
+    walks = {}
+    for m in modules:
+        for x in range(m.order):
+            multiples = [x]
+            while (nxt := m.add[multiples[-1]][x]) not in multiples:
+                multiples.append(nxt)
+            tail = multiples.index(nxt)
+            walk = (tail, len(multiples) - tail)
+            assert walks.setdefault((m.base, homs._scalar_signature(m, x)), walk) == walk
+    assert len({walk for walk in walks.values()}) > 2

@@ -261,6 +261,12 @@ def test_comsum_product(BxB):
     assert all(c.equals_sub_sum and c.is_summand for c in certs)
 
 
+def test_comsum_check_raises_on_a_truncated_subtractive_lattice(BxB):
+    # B x B has four subtractive ideals; two of them are not the answer
+    with pytest.raises(LimitExceeded, match="^subtractive ideal enumeration truncated$"):
+        comsum_check(BxB, Limits(max_results=2))
+
+
 def test_comsum_boolean_trivial(B):
     certs = comsum_check(B)
     assert len(certs) == 2
