@@ -398,9 +398,9 @@ def classify_junction(f: LinearMap, g: LinearMap) -> JunctionClass:
 
 
 def is_short_exact(f: LinearMap, g: LinearMap) -> bool:
-    """0 -> L -f-> M -g-> N -> 0 is exact at L, M and N: each junction is
-    classified in that order, the outer two against the zero maps in from
-    and out to the zero module, up to the first that is not exact."""
+    """0 -> L -f-> M -g-> N -> 0 is exact at L, M and N, checked in that order
+    up to the first inexact junction, the ends against the zero module.
+    Raises :class:`NotComposable` when f and g do not meet."""
     if f.target != g.source:
         raise NotComposable("f and g do not meet")
     z = zero_module(f.source.base)
