@@ -30,9 +30,11 @@ subsemimodule and subtractive lattices, by limits (see
 index map, by mask (:func:`sub_module`); each quotient with its
 projection, by class map (:func:`_quotient`), and each Bourne quotient
 M/K, by the mask of K (:func:`bourne_quotient`); and each zero map out of
-it, by target (:func:`zero_map`).  A linear map keeps its image mask, its
-kernel mask and its k-normality.  The stores are left out of eq, hash
-and repr, and a module table pickles without them.
+it, by target (:func:`zero_map`).  The whole carrier promotes to the
+table itself, and the quotient by the diagonal is the table itself, so no
+equal table with empty stores is built beside it.  A linear map keeps its
+image mask, its kernel mask and its k-normality.  The stores are left out
+of eq, hash and repr, and a module table pickles without them.
 """
 
 from __future__ import annotations
@@ -703,10 +705,13 @@ def sub_module(sub: SubStructure) -> tuple[SemimoduleTable, tuple[int, ...]]:
     """Promote a SubStructure to its own SemimoduleTable.
 
     Returns the promoted module plus ``to_parent``: new index -> parent index.
-    Built once per parent table and mask: the first call stores the pair on
-    the parent, and later calls for the same members return that same pair.
+    The whole carrier promotes to the parent itself.  Any other mask is
+    built once per parent table: the first call stores the pair on the
+    parent, and later calls for the same members return that same pair.
     """
     parent = sub.parent
+    if sub.members == full_mask(parent.order):
+        return parent, tuple(range(parent.order))
     stored = parent._sub_modules
     if sub.members in stored:
         return stored[sub.members]
@@ -960,13 +965,17 @@ def _quotient(m: SemimoduleTable, rho: CongruencePartition):
     test_engine_built_values_pass_the_public_checks`` checks every
     partition the engine passes here.
 
-    Built once per table and congruence: the first call stores the pair on
+    The diagonal gives ``m`` itself with its identity map.  Any other
+    congruence is built once per table: the first call stores the pair on
     ``m``, and later calls with the same class map return that same pair."""
     class_of = rho.class_of
     stored = m._quotients
     if class_of in stored:
         return stored[class_of]
     k = rho.n_classes()
+    if k == m.order:
+        stored[class_of] = m, _linear_map(m, m, class_of)
+        return stored[class_of]
     rep = [0] * k
     for x in range(m.order - 1, -1, -1):
         rep[class_of[x]] = x
@@ -1084,26 +1093,40 @@ def _linear_map(source: SemimoduleTable, target: SemimoduleTable,
     return f
 
 
-def linear_map_violations(source: SemimoduleTable, target: SemimoduleTable,
-                          image_of: Sequence[int]) -> list[Violation]:
+def _linear_map_scan(source: SemimoduleTable, target: SemimoduleTable,
+                     image_of: Sequence[int]) -> Iterator[Violation]:
+    """The violations of linearity of ``image_of``, lazily, in a fixed
+    order: a base or length mismatch alone, else zero, then each pair
+    x <= y, then each scalar and element."""
     if source.base != target.base:
-        return [Violation("shared-base", ())]
+        yield Violation("shared-base", ())
+        return
     if len(image_of) != source.order:
-        return [Violation("total-map", (len(image_of),))]
-    out: list[Violation] = []
+        yield Violation("total-map", (len(image_of),))
+        return
     if image_of[source.zero] != target.zero:
-        out.append(Violation("preserves-zero", (source.zero,)))
+        yield Violation("preserves-zero", (source.zero,))
     for x in range(source.order):
         fx = image_of[x]
         for y in range(x, source.order):
             if image_of[source.add[x][y]] != target.add[fx][image_of[y]]:
-                out.append(Violation("additive", (x, y)))
+                yield Violation("additive", (x, y))
     for s in range(source.base.order):
         src_row, tgt_row = source.act[s], target.act[s]
         for x in range(source.order):
             if image_of[src_row[x]] != tgt_row[image_of[x]]:
-                out.append(Violation("scalar", (s, x)))
-    return out
+                yield Violation("scalar", (s, x))
+
+
+def linear_map_violations(source: SemimoduleTable, target: SemimoduleTable,
+                          image_of: Sequence[int]) -> list[Violation]:
+    return list(_linear_map_scan(source, target, image_of))
+
+
+def _is_linear(source: SemimoduleTable, target: SemimoduleTable,
+               image_of: Sequence[int]) -> bool:
+    """Whether :func:`linear_map_violations` is empty, stopping at the first."""
+    return next(_linear_map_scan(source, target, image_of), None) is None
 
 
 def identity_map(m: SemimoduleTable) -> LinearMap:

@@ -19,10 +19,13 @@ from .core import (
     Table,
     _closure_mask,
     _cyclic_generator,
+    _is_linear,
     _linear_map,
     _subtractive_closure_mask,
+    bits,
     bourne_quotient,
-    linear_map_violations,
+    mask_of,
+    sub_module,
     zero_map,
     zero_module,
 )
@@ -46,50 +49,40 @@ def generating_set(m: SemimoduleTable) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=65536)
-def _derivations(m: SemimoduleTable) -> tuple[tuple, ...]:
-    """How each element is built from the generators, in dependency order.
+def _derivations(m: SemimoduleTable) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Per generator g_i of :func:`generating_set`, the elements that
+    N_i = N_(i-1) + S.g_i adds to N_(i-1), with N_0 = {0}: each once, as
+    (x, y, s) with x = y + s.g_i and y in N_(i-1).
 
-    Entries are ("zero",), ("gen", i), ("add", x, y) or ("act", s, x) where
-    x, y are earlier-derived elements.
-    """
-    gens = generating_set(m)
-    how: dict[int, tuple] = {m.zero: ("zero",)}
-    order: list[int] = [m.zero]
-    for i, g in enumerate(gens):
-        if g not in how:
-            how[g] = ("gen", i)
-            order.append(g)
-        frontier = True
-        while frontier:
-            frontier = False
-            known = list(order)
-            for x in known:
-                for y in known:
-                    z = m.add[x][y]
-                    if z not in how:
-                        how[z] = ("add", x, y)
-                        order.append(z)
-                        frontier = True
-                for s in range(m.base.order):
-                    z = m.act[s][x]
-                    if z not in how:
-                        how[z] = ("act", s, x)
-                        order.append(z)
-                        frontier = True
-    return tuple((x, how[x]) for x in order)
+    That sum set is N_i, the submodule generated by N_(i-1) and g_i: it
+    holds both, and it is closed, as (y + s.g) + (y' + t.g) =
+    (y + y') + (s + t).g and r.(y + s.g) = r.y + (rs).g."""
+    known = 1 << m.zero
+    out = []
+    for g in generating_set(m):
+        members = list(bits(known))
+        new = []
+        for s, sg in enumerate(m.columns[g]):
+            for y in members:
+                x = m.add[y][sg]
+                if not known >> x & 1:
+                    known |= 1 << x
+                    new.append((x, y, s))
+        out.append(tuple(new))
+    return tuple(out)
 
 
 @lru_cache(maxsize=65536)
-def _stages(m: SemimoduleTable) -> tuple[tuple[tuple, ...], ...]:
-    """Derivation entries grouped by which generator unlocks them."""
-    gens = generating_set(m)
-    stages: list[list[tuple]] = [[] for _ in range(len(gens) + 1)]
-    stage = 0
-    for x, rule in _derivations(m):
-        if rule[0] == "gen":
-            stage = rule[1] + 1
-        stages[stage].append((x, rule))
-    return tuple(tuple(st) for st in stages)
+def _stages(m: SemimoduleTable) -> tuple[tuple[SemimoduleTable, tuple[int, ...], tuple], ...]:
+    """Per generator g_i: N_i promoted (:func:`core.sub_module`, the last is
+    ``m`` itself), its index map into ``m``, and the derivations of the
+    elements it adds (:func:`_derivations`)."""
+    stages = []
+    members = 1 << m.zero
+    for new in _derivations(m):
+        members |= mask_of(x for x, _, _ in new)
+        stages.append((*sub_module(SubStructure(m, members)), new))
+    return tuple(stages)
 
 
 @lru_cache(maxsize=262144)
@@ -140,12 +133,14 @@ def enumerate_homs(source: SemimoduleTable, target: SemimoduleTable,
     see :func:`core._cyclic_generator`) takes the Yoneda path,
     :func:`_yoneda_homs`: one map per target element whose column of
     scalar actions passes g's scalar-partition test, one tuple comparison
-    per element.  Any other source takes the DFS,
-    :func:`_dfs_homs`, which backtracks over images of a generating set
-    with forced propagation after every choice.  Each candidate image is
-    one node against ``max_hom_nodes``; the zero map is always present in
-    an exhaustive result, and a non-exhaustive one only ever drops maps,
-    never invents them.
+    per element.  Any other source takes the DFS, :func:`_dfs_homs`: it
+    tries each candidate image of each generator in turn, extends the map
+    to the submodule generated so far, and backtracks as soon as that is
+    not linear.  Each candidate image is one node against
+    ``max_hom_nodes``; a non-exhaustive result only ever drops maps, never
+    invents them.  Modules over different bases have no map between them:
+    the result is empty and exhaustive.  Over one base, an exhaustive
+    result holds the zero map.
     """
     return _enumerate_homs_cached(source, target, limits.max_hom_nodes)
 
@@ -187,88 +182,37 @@ def _yoneda_homs(source: SemimoduleTable, target: SemimoduleTable, g: int,
 def _dfs_homs(source: SemimoduleTable, target: SemimoduleTable,
               max_nodes: int) -> Enumeration:
     """Hom(source, target) by backtracking over the images of
-    :func:`generating_set`, each choice propagated through
-    :func:`_stages`; the modules share a base."""
-    gens = generating_set(source)
+    :func:`generating_set`; the modules share a base.  Each candidate v of
+    g_i (:func:`_hom_candidates`) extends the map on N_(i-1) to N_i by
+    y + s.g_i -> f(y) + s.v (:func:`_stages`), and the search descends iff
+    that is linear on N_i (:func:`core._is_linear`).  A linear map on N_i
+    is fixed by its values on N_(i-1) and v, so no linear extension is
+    lost, and the last stage checks the whole map."""
     stages = _stages(source)
-    candidates = [_hom_candidates(source, target, g) for g in gens]
-    n = source.order
-    sadd, sact = source.add, source.act
+    candidates = [_hom_candidates(source, target, g) for g in generating_set(source)]
     tadd, tact = target.add, target.act
-    n_scalars = source.base.order
+    img = [target.zero] * source.order
     found: list[LinearMap] = []
-    img = [-1] * n
-    known: list[int] = []
     nodes = 0
     exhaustive = True
 
-    def replay_stage(si: int) -> int:
-        """Force images for stage ``si``; return how many were set, or -1."""
-        added = 0
-        for x, rule in stages[si]:
-            kind = rule[0]
-            if kind == "zero":
-                v = target.zero
-            elif kind == "gen":
-                v = img[x] if img[x] >= 0 else -2
-            elif kind == "add":
-                v = tadd[img[rule[1]]][img[rule[2]]]
-            else:
-                v = tact[rule[1]][img[rule[2]]]
-            if kind != "gen":
-                if img[x] >= 0 and img[x] != v:
-                    _undo(added)
-                    return -1
-                if img[x] < 0:
-                    img[x] = v
-                    known.append(x)
-                    added += 1
-        # consistency among all currently known elements
-        for x in known:
-            fx = img[x]
-            row, trow = sadd[x], tadd[fx]
-            for y in known:
-                z = row[y]
-                if img[z] >= 0 and img[z] != trow[img[y]]:
-                    _undo(added)
-                    return -1
-            for s in range(n_scalars):
-                z = sact[s][x]
-                if img[z] >= 0 and img[z] != tact[s][fx]:
-                    _undo(added)
-                    return -1
-        return added
-
-    def _undo(count: int) -> None:
-        for _ in range(count):
-            img[known.pop()] = -1
-
     def dfs(depth: int) -> None:
         nonlocal nodes, exhaustive
-        if not exhaustive:
-            return
-        if depth == len(gens):
-            # the last replay_stage checked every pair and scalar, and the
-            # zero rule fixed zero
+        if depth == len(stages):
             found.append(_linear_map(source, target, tuple(img)))
             return
-        g = gens[depth]
+        part, to_parent, derived = stages[depth]
         for v in candidates[depth]:
             nodes += 1
             if nodes > max_nodes:
                 exhaustive = False
                 return
-            img[g] = v
-            known.append(g)
-            added = replay_stage(depth + 1)
-            if added >= 0:
+            for x, y, s in derived:
+                img[x] = tadd[img[y]][tact[s][v]]
+            if _is_linear(part, target, tuple(map(img.__getitem__, to_parent))):
                 dfs(depth + 1)
-                _undo(added)
-            img[known.pop()] = -1
 
-    base = replay_stage(0)
-    if base >= 0:
-        dfs(0)
+    dfs(0)
     found.sort(key=lambda f: f.image_of)
     return Enumeration(items=tuple(found), exhaustive=exhaustive)
 
@@ -430,7 +374,7 @@ def short_exact_equivalences(f: LinearMap, g: LinearMap) -> dict[str, bool]:
         quot, proj = bourne_quotient(m, SubStructure(m, f.image_mask()))
         # g induces a map on M/f(L) iff it is constant on each class
         induced = tuple(v for _, v in sorted(set(zip(proj.image_of, g.image_of))))
-        if len(induced) == quot.order and not linear_map_violations(quot, n, induced):
+        if len(induced) == quot.order and _is_linear(quot, n, induced):
             witness = _linear_map(quot, n, induced)
             iso = witness.is_injective() and witness.is_surjective()
     return {"exact": exact, "iso": iso, "explicit": explicit}

@@ -55,6 +55,7 @@ from .core import (
     mask_of,
     sub_module,
 )
+from .errors import HypothesisUnmet
 from .homs import _MapKeys, are_isomorphic, enumerate_homs
 from .semisimple import module_test_family
 
@@ -90,12 +91,18 @@ class Monoid:
 
 def _all_homs(source: SemimoduleTable, target: SemimoduleTable,
               limits: Limits) -> tuple[LinearMap, ...]:
+    """Every map source -> target.  Raises :class:`HypothesisUnmet` when
+    the modules are over different bases (no map is linear between them),
+    and :class:`LimitExceeded` on a truncated enumeration."""
+    if source.base != target.base:
+        raise HypothesisUnmet("the modules are over different bases")
     return enumerate_homs(source, target, limits).exhaustive_items("hom enumeration")
 
 
 def hom_monoid(source: SemimoduleTable, target: SemimoduleTable,
                limits: Limits = DEFAULT_LIMITS) -> tuple[Monoid, tuple[LinearMap, ...]]:
-    """Hom(source, target) under pointwise addition."""
+    """Hom(source, target) under pointwise addition.  Raises
+    :class:`HypothesisUnmet` when the modules are over different bases."""
     maps = _all_homs(source, target, limits)
     add = _MapKeys(maps).sums(target.add)
     zero = next(i for i, f in enumerate(maps) if f.is_zero())

@@ -117,9 +117,9 @@ def module_test_family(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS) -> l
     return family
 
 
-def simplicity_profile(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS,
-                       crosscheck: bool | None = None) -> SimplicityReport:
-    """Both simplicities, cross-checked two independent ways when feasible.
+def simplicity_profile(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS) -> SimplicityReport:
+    """Both simplicities, cross-checked two independent ways on modules of
+    order at most ``CROSSCHECK_MAX_ORDER``.
 
     The cross-checks are the map characterizations (congruence-simple iff
     every non-zero map out of m is injective; ideal-simple iff every
@@ -131,8 +131,7 @@ def simplicity_profile(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS,
     """
     ideal, iw = is_module_ideal_simple(m)
     cong, cw = is_module_congruence_simple(m)
-    if crosscheck is None:
-        crosscheck = m.order <= CROSSCHECK_MAX_ORDER
+    crosscheck = m.order <= CROSSCHECK_MAX_ORDER
     if crosscheck:
         subs = enumerate_subsemimodules(m, limits)
         cons = enumerate_congruences(m, limits)

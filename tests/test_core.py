@@ -744,6 +744,21 @@ def test_derived_modules_and_maps_are_built_once(B31):
     assert sub_module(SubStructure(other.left_module(), 0b101))[0] is not part
 
 
+def test_the_whole_carrier_and_the_diagonal_give_the_module_itself(B31, catalog_fixtures):
+    # no table equal to m is built beside it, so m's stores serve these too
+    mods = [B31.left_module(), product_module(B31.left_module(), B31.left_module())]
+    mods += [s.left_module() for _, s in catalog_fixtures]
+    for m in mods:
+        identity = tuple(range(m.order))
+        assert sub_module(SubStructure(m, full_mask(m.order))) == (m, identity)
+        assert sub_module(SubStructure(m, full_mask(m.order)))[0] is m
+        quot, proj = _quotient(m, discrete_partition(m))
+        assert quot is m and (proj.source, proj.target, proj.image_of) == (m, m, identity)
+        assert quotient_by_congruence(m, discrete_partition(m))[0] is m
+        # the Bourne congruence of {0} is the diagonal
+        assert bourne_quotient(m, SubStructure(m, 1 << m.zero))[0] is m
+
+
 def test_subsemimodule_lattice_is_stored_per_table_and_limits(monkeypatch):
     from finsemi import core
 

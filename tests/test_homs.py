@@ -1,6 +1,7 @@
 """Hom enumeration, kernels, normality, sequences, splitting, isomorphism."""
 
 import itertools
+import operator
 
 import oracle
 import pytest
@@ -22,6 +23,7 @@ from finsemi.core import (
     identity_map,
     inclusion_map,
     linear_map_violations,
+    product_module,
     quotient_by_congruence,
     zero_map,
     zero_module,
@@ -150,6 +152,46 @@ def test_every_cap_keeps_the_first_yoneda_candidates():
             assert [f.image_of for f in cut] == sorted(f.image_of for f in cut)
             assert set(f.image_of for f in cut) <= set(f.image_of for f in full)
             assert cut.exhaustive == (cap == len(full))
+
+
+def test_the_dfs_budget_counts_the_linear_maps_on_each_stage():
+    # with N_0 = {0} and N_i generated by g_1..g_i, the DFS tries each
+    # candidate of g_i once per linear map N_(i-1) -> b, so its least
+    # exhaustive budget is the sum of |Hom(N_(i-1), b)| |Hom(S.g_i, b)|
+    # (the candidates of g_i are the maps out of S.g_i), both by brute
+    # force.  Sources are the non-cyclic sums of two members of the order
+    # <= 3 families, and those of order <= 6 of the order-4 families: the
+    # greedy generating set of some of the latter has a redundant
+    # generator, and only there does the stage check cut a branch.
+    pairs = pruned = 0
+    for s in (s for order in (2, 3, 4) for s in enumerate_semirings(order)):
+        family = bounded_family(s)
+        sums = [product_module(a, c) for i, a in enumerate(family) for c in family[i:]
+                if s.order < 4 or a.order * c.order <= 6]
+        for a in (m for m in sums if _cyclic_generator(m) is None):
+            src, gens = oracle.as_module(a), generating_set(a)
+            stages = [oracle.restrict(src, oracle.generated_submodule(src, gens[:i]))[0]
+                      for i in range(len(gens))]
+            orbits = [oracle.restrict(src, oracle.generated_submodule(src, [g]))[0]
+                      for g in gens]
+            # the last stage is the source itself, so its check is the whole map's
+            assert homs._stages(a)[-1][:2] == (a, tuple(range(a.order)))
+            for b in family:
+                tgt = oracle.as_module(b)
+                budget = sum(len(oracle.homs(n, tgt)) * len(oracle.homs(c, tgt))
+                             for n, c in zip(stages, orbits))
+                full = [f.image_of for f in enumerate_homs(a, b)]
+                assert full == oracle.homs(src, tgt)
+                assert enumerate_homs(a, b, Limits(max_hom_nodes=budget)).exhaustive
+                for cap in range(budget):
+                    cut = enumerate_homs(a, b, Limits(max_hom_nodes=cap))
+                    assert not cut.exhaustive
+                    assert set(f.image_of for f in cut) <= set(full)
+                # without pruning, every tuple of candidates of g_1..g_i is a node
+                counts = [len(oracle.homs(c, tgt)) for c in orbits]
+                pruned += budget < sum(itertools.accumulate(counts, operator.mul))
+                pairs += 1
+    assert pairs > 1000 and pruned > 40
 
 
 def test_homs_out_of_the_zero_module(B31, catalog_fixtures):

@@ -15,9 +15,10 @@ from finsemi.core import (
     quotient_by_congruence,
     zero_module,
 )
-from finsemi.errors import LimitExceeded
+from finsemi.errors import HypothesisUnmet, LimitExceeded
 from finsemi.projinj import (
     bounded_family,
+    hom_monoid,
     is_e_injective,
     is_e_projective,
     is_i_injective,
@@ -48,6 +49,18 @@ def test_deciders_respect_biproducts(order):
             for (i, a), (j, b) in combinations_with_replacement(enumerate(family), 2):
                 assert decider(product_module(a, b), m).holds == \
                     (verdicts[i] and verdicts[j]), (decider.__name__, s)
+
+
+def test_modules_over_different_bases_are_rejected(B31, B43):
+    # Hom between them is empty, not a monoid with a zero, and no lifting
+    # problem is posed: every decider refuses the pair, either way round
+    a, b = B31.left_module(), B43.left_module()
+    for p, m in ((a, b), (b, a)):
+        with pytest.raises(HypothesisUnmet, match="different bases"):
+            hom_monoid(p, m)
+        for decider in (is_k_projective, is_e_projective, is_i_injective, is_e_injective):
+            with pytest.raises(HypothesisUnmet, match="different bases"):
+                decider(p, m)
 
 
 def test_quotient_not_k_projective(B31):

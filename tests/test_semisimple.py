@@ -46,8 +46,7 @@ def test_truncated_hom_search_is_not_a_crosscheck_failure():
     # of reporting the routes as disagreeing
     m = make_B(3, 1).left_module()
     with pytest.raises(LimitExceeded, match="^hom enumeration truncated$"):
-        simplicity_profile(m, Limits(max_hom_nodes=1), crosscheck=True)
-    assert not simplicity_profile(m, Limits(max_hom_nodes=1), crosscheck=False).ideal_simple
+        simplicity_profile(m, Limits(max_hom_nodes=1))
 
 
 def test_b31_is_simple_neither_way(B31):
