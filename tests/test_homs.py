@@ -160,9 +160,8 @@ def test_the_dfs_budget_counts_the_linear_maps_on_each_stage():
     # exhaustive budget is the sum of |Hom(N_(i-1), b)| |Hom(S.g_i, b)|
     # (the candidates of g_i are the maps out of S.g_i), both by brute
     # force.  Sources are the non-cyclic sums of two members of the order
-    # <= 3 families, and those of order <= 6 of the order-4 families: the
-    # greedy generating set of some of the latter has a redundant
-    # generator, and only there does the stage check cut a branch.
+    # <= 3 families, and those of order <= 6 of the order-4 families: only
+    # among the latter does the stage check cut a branch.
     pairs = pruned = 0
     for s in (s for order in (2, 3, 4) for s in enumerate_semirings(order)):
         family = bounded_family(s)
@@ -178,8 +177,8 @@ def test_the_dfs_budget_counts_the_linear_maps_on_each_stage():
             assert homs._stages(a)[-1][:2] == (a, tuple(range(a.order)))
             for b in family:
                 tgt = oracle.as_module(b)
-                budget = sum(len(oracle.homs(n, tgt)) * len(oracle.homs(c, tgt))
-                             for n, c in zip(stages, orbits))
+                counts = [len(oracle.homs(c, tgt)) for c in orbits]
+                budget = sum(len(oracle.homs(n, tgt)) * k for n, k in zip(stages, counts))
                 full = [f.image_of for f in enumerate_homs(a, b)]
                 assert full == oracle.homs(src, tgt)
                 assert enumerate_homs(a, b, Limits(max_hom_nodes=budget)).exhaustive
@@ -188,7 +187,6 @@ def test_the_dfs_budget_counts_the_linear_maps_on_each_stage():
                     assert not cut.exhaustive
                     assert set(f.image_of for f in cut) <= set(full)
                 # without pruning, every tuple of candidates of g_1..g_i is a node
-                counts = [len(oracle.homs(c, tgt)) for c in orbits]
                 pruned += budget < sum(itertools.accumulate(counts, operator.mul))
                 pairs += 1
     assert pairs > 1000 and pruned > 40
