@@ -52,7 +52,8 @@ def generating_set(m: SemimoduleTable) -> tuple[int, ...]:
 def _derivations(m: SemimoduleTable) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """Per generator g_i of :func:`generating_set`, the elements that
     N_i = N_(i-1) + S.g_i adds to N_(i-1), with N_0 = {0}: each once, as
-    (x, y, s) with x = y + s.g_i and y in N_(i-1).
+    (x, y, s) with x = y + s.g_i and y in N_(i-1).  The first is g_i itself,
+    as 0 + 1.g_i, so a map built on these sends g_i where it is told to.
 
     That sum set is N_i, the submodule generated by N_(i-1) and g_i: it
     holds both, and it is closed, as (y + s.g) + (y' + t.g) =
@@ -61,7 +62,8 @@ def _derivations(m: SemimoduleTable) -> tuple[tuple[tuple[int, int, int], ...], 
     out = []
     for g in generating_set(m):
         members = list(bits(known))
-        new = []
+        known |= 1 << g
+        new = [(g, m.zero, m.base.one)]
         for s, sg in enumerate(m.columns[g]):
             for y in members:
                 x = m.add[y][sg]
@@ -187,7 +189,8 @@ def _dfs_homs(source: SemimoduleTable, target: SemimoduleTable,
     y + s.g_i -> f(y) + s.v (:func:`_stages`), and the search descends iff
     that is linear on N_i (:func:`core._is_linear`).  A linear map on N_i
     is fixed by its values on N_(i-1) and v, so no linear extension is
-    lost, and the last stage checks the whole map."""
+    lost; g_i -> v is among the derivations, so distinct candidates give
+    distinct maps; and the last stage checks the whole map."""
     stages = _stages(source)
     candidates = [_hom_candidates(source, target, g) for g in generating_set(source)]
     tadd, tact = target.add, target.act

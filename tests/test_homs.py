@@ -154,42 +154,71 @@ def test_every_cap_keeps_the_first_yoneda_candidates():
             assert cut.exhaustive == (cap == len(full))
 
 
+def _dfs_budgets(a, family):
+    """Per target b in ``family``: the least budget at which the DFS from the
+    non-cyclic ``a`` to b is exhaustive, by brute force, and that budget
+    without stage pruning, after asserting that the exhaustive maps are
+    oracle's.
+
+    With N_0 = {0} and N_i generated by g_1..g_i, the DFS tries each
+    candidate of g_i once per linear map N_(i-1) -> b, so that budget is the
+    sum of |Hom(N_(i-1), b)| |Hom(S.g_i, b)| (the candidates of g_i are the
+    maps out of S.g_i).  Without pruning, every tuple of candidates of
+    g_1..g_i is a node."""
+    src, gens = oracle.as_module(a), generating_set(a)
+    stages = [oracle.restrict(src, oracle.generated_submodule(src, gens[:i]))[0]
+              for i in range(len(gens))]
+    orbits = [oracle.restrict(src, oracle.generated_submodule(src, [g]))[0] for g in gens]
+    # the last stage is the source itself, so its check is the whole map's
+    assert homs._stages(a)[-1][:2] == (a, tuple(range(a.order)))
+    for b in family:
+        tgt = oracle.as_module(b)
+        counts = [len(oracle.homs(c, tgt)) for c in orbits]
+        budget = sum(len(oracle.homs(n, tgt)) * k for n, k in zip(stages, counts))
+        assert [f.image_of for f in enumerate_homs(a, b)] == oracle.homs(src, tgt)
+        assert enumerate_homs(a, b, Limits(max_hom_nodes=budget)).exhaustive
+        assert not enumerate_homs(a, b, Limits(max_hom_nodes=budget - 1)).exhaustive
+        yield b, budget, sum(itertools.accumulate(counts, operator.mul))
+
+
 def test_the_dfs_budget_counts_the_linear_maps_on_each_stage():
-    # with N_0 = {0} and N_i generated by g_1..g_i, the DFS tries each
-    # candidate of g_i once per linear map N_(i-1) -> b, so its least
-    # exhaustive budget is the sum of |Hom(N_(i-1), b)| |Hom(S.g_i, b)|
-    # (the candidates of g_i are the maps out of S.g_i), both by brute
-    # force.  Sources are the non-cyclic sums of two members of the order
-    # <= 3 families, and those of order <= 6 of the order-4 families: only
-    # among the latter does the stage check cut a branch.
+    # sources are the non-cyclic sums of two members of the order <= 3
+    # families, and those of order <= 6 of the order-4 families: only among
+    # the latter does the stage check cut a branch
     pairs = pruned = 0
     for s in (s for order in (2, 3, 4) for s in enumerate_semirings(order)):
         family = bounded_family(s)
         sums = [product_module(a, c) for i, a in enumerate(family) for c in family[i:]
                 if s.order < 4 or a.order * c.order <= 6]
         for a in (m for m in sums if _cyclic_generator(m) is None):
-            src, gens = oracle.as_module(a), generating_set(a)
-            stages = [oracle.restrict(src, oracle.generated_submodule(src, gens[:i]))[0]
-                      for i in range(len(gens))]
-            orbits = [oracle.restrict(src, oracle.generated_submodule(src, [g]))[0]
-                      for g in gens]
-            # the last stage is the source itself, so its check is the whole map's
-            assert homs._stages(a)[-1][:2] == (a, tuple(range(a.order)))
-            for b in family:
-                tgt = oracle.as_module(b)
-                counts = [len(oracle.homs(c, tgt)) for c in orbits]
-                budget = sum(len(oracle.homs(n, tgt)) * k for n, k in zip(stages, counts))
-                full = [f.image_of for f in enumerate_homs(a, b)]
-                assert full == oracle.homs(src, tgt)
-                assert enumerate_homs(a, b, Limits(max_hom_nodes=budget)).exhaustive
+            for b, budget, unpruned in _dfs_budgets(a, family):
+                full = set(f.image_of for f in enumerate_homs(a, b))
                 for cap in range(budget):
                     cut = enumerate_homs(a, b, Limits(max_hom_nodes=cap))
                     assert not cut.exhaustive
-                    assert set(f.image_of for f in cut) <= set(full)
-                # without pruning, every tuple of candidates of g_1..g_i is a node
-                pruned += budget < sum(itertools.accumulate(counts, operator.mul))
+                    assert set(f.image_of for f in cut) <= full
+                pruned += budget < unpruned
                 pairs += 1
     assert pairs > 1000 and pruned > 40
+
+
+def test_the_dfs_gives_each_map_once_on_relabelled_sources(relabelled):
+    # in a sum indexed pair by pair, each generator is the first element its
+    # scalars reach; under other indexings it need not be, and a DFS that
+    # took g_i's image from its derivations rather than from the candidate
+    # found some maps twice.  Every indexing of the non-cyclic sums of order
+    # 4 over the order <= 3 families, and two of each of order 6 and 9.
+    pairs = 0
+    for s in (s for order in (2, 3) for s in enumerate_semirings(order)):
+        family = bounded_family(s)
+        sums = [product_module(a, c) for i, a in enumerate(family) for c in family[i:]]
+        for a in (m for m in sums if _cyclic_generator(m) is None):
+            n = a.order
+            pis = (itertools.permutations(range(n)) if n == 4
+                   else [tuple(reversed(range(n))), tuple(range(1, n)) + (0,)])
+            for pi in pis:
+                pairs += len(list(_dfs_budgets(relabelled(a, pi), family)))
+    assert pairs > 500
 
 
 def test_homs_out_of_the_zero_module(B31, catalog_fixtures):
