@@ -203,11 +203,11 @@ def test_the_dfs_budget_counts_the_linear_maps_on_each_stage():
 
 
 def test_the_dfs_gives_each_map_once_on_relabelled_sources(relabelled):
-    # in a sum indexed pair by pair, each generator is the first element its
-    # scalars reach; under other indexings it need not be, and a DFS that
-    # took g_i's image from its derivations rather than from the candidate
-    # found some maps twice.  Every indexing of the non-cyclic sums of order
-    # 4 over the order <= 3 families, and two of each of order 6 and 9.
+    # in a sum indexed pair by pair, each generator g_i is first reached as
+    # 0 + 1.g_i; under other indexings it can be reached as some y + s.g_i
+    # first, and the DFS must still send g_i to its candidate, so that each
+    # map is found once.  Every indexing of the non-cyclic sums of order 4
+    # over the order <= 3 families, and two of each of order 6 and 9.
     pairs = 0
     for s in (s for order in (2, 3) for s in enumerate_semirings(order)):
         family = bounded_family(s)
