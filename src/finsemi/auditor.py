@@ -28,14 +28,15 @@ from .core import (
     SemiringTable,
     SubStructure,
     Table,
+    _bourne_quotient,
     _quotient,
     _semiring_table,
+    _sub_module,
     bits,
     bourne_quotient,
     enumerate_congruences,
     enumerate_subsemimodules,
     sub_module,
-    subtractive_closure,
 )
 from .errors import EngineError, LimitExceeded
 from .homs import (
@@ -539,7 +540,7 @@ def lemma_suite(s: SemiringTable, limits: Limits = DEFAULT_LIMITS,
                                             f"{via_comp}/{via_pairs}/{via_cond3}")
         # d-iso (2): M = K + L direct implies M/K iso L
         for a, b in pair_sums:
-            quot, _ = bourne_quotient(mod, subtractive_closure(a))
+            quot, _ = _bourne_quotient(mod, a.subtractive_closure_members)
             if not are_isomorphic(quot, sub_module(b)[0]):
                 failed["rem-d-iso.2"] = ""
         # lemint: subtractive N, mod = L + K direct, L <= N  =>  N = L + (K n N)
@@ -701,9 +702,9 @@ def fixture_expectation_records(limits: Limits = DEFAULT_LIMITS) -> list[ClaimRe
     with limited("B(3,1)", "ex-b31.quotient-iso-ideal"):
         b31 = catalog.make_B(3, 1)
         m31 = b31.left_module()
-        i_sub = SubStructure(m31, 0b101)
-        quot, proj = bourne_quotient(m31, i_sub)
-        imod = sub_module(i_sub)[0]
+        # the ideal {0, 2}; building its quotient first checks that it is closed
+        quot, proj = _bourne_quotient(m31, 0b101)
+        imod = _sub_module(m31, 0b101)[0]
         # quotient element c is a Bourne class, written [its least member]
         cls = [f"[{proj.image_of.index(c)}]" for c in range(quot.order)]
         nonzero = [f"{cls[c]}+{cls[c]}={cls[quot.add[c][c]]}"

@@ -175,10 +175,14 @@ def validate_lattice(join: Sequence[Sequence[int]], bottom: int, top: int,
                 if join_t[join_t[a][b]][c] != join_t[a][join_t[b][c]]:
                     bad.append(Violation("join-associative", (a, b, c)))
     if meet_t is not None:
+        # meet[a][b] is the greatest lower bound of a and b in the order
+        # x <= y iff join(x, y) = y; absorption follows when the join laws hold
+        below = [{x for x in range(n) if join_t[x][a] == a} for a in range(n)]
         for a in range(n):
             for b in range(n):
-                if meet_t[a][join_t[a][b]] != a or join_t[a][meet_t[a][b]] != a:
-                    bad.append(Violation("absorption", (a, b)))
+                c = meet_t[a][b]
+                if not below[c] >= below[a] & below[b] >= {c}:
+                    bad.append(Violation("meet-is-greatest-lower-bound", (a, b)))
     if bad:
         raise AxiomViolations(bad)
     return LatticeSpec(order=n, join=join_t, bottom=bottom, top=top, meet=meet_t)

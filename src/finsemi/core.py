@@ -18,23 +18,23 @@ image of a linear map is closed by linearity, so engine code that needs only
 a predicate on an image works on the image mask and builds no SubStructure.
 
 Derived structure is built once and stored, outside the dataclass fields,
-on the table it is derived from: a value fixed by one table and a key is
-kept on that table under that key.  Every caller then shares one object,
-and every ``lru_cache`` keyed on it hits by identity instead of comparing
-whole tables.  A semiring table keeps its left module and its zero module
-(:func:`zero_module`).  A module table keeps its columns (the action
-transposed, one column of scalar actions per element) and its cyclic
-generator (:func:`_cyclic_generator`), which the Hom search reads; its
-subsemimodule and subtractive lattices, by limits (see
-:func:`enumerate_subsemimodules`); each promoted subsemimodule with its
-index map, by mask (:func:`sub_module`); each quotient with its
-projection, by class map (:func:`_quotient`), and each Bourne quotient
-M/K, by the mask of K (:func:`bourne_quotient`); and each zero map out of
-it, by target (:func:`zero_map`).  The whole carrier promotes to the
-table itself, and the quotient by the diagonal is the table itself, so no
-equal table with empty stores is built beside it.  A linear map keeps its
-image mask, its kernel mask and its k-normality.  The stores are left out
-of eq, hash and repr, and a module table pickles without them.
+on the table it is derived from, so every caller shares one object and
+every ``lru_cache`` keyed on it hits by identity instead of comparing whole
+tables.  A semiring table keeps its left module and its zero module
+(:func:`zero_module`); a module table its columns (the action transposed,
+one column of scalar actions per element) and its cyclic generator
+(:func:`_cyclic_generator`), which the Hom search reads.  All else derived
+from a module table sits in its one store, which :func:`_stored` alone
+reads and writes: its lattices, by limits (:func:`enumerate_subsemimodules`),
+and each promoted subsemimodule (:func:`sub_module`), quotient
+(:func:`_quotient`), Bourne quotient (:func:`bourne_quotient`) and zero map
+out of it (:func:`zero_map`), by mask, class map, mask and target.  Engine
+code that holds a mask it has closed itself reaches a promotion or a Bourne
+quotient through :func:`_sub_module` or :func:`_bourne_quotient`, with no
+SubStructure.  The whole carrier promotes to the table itself, and the
+quotient by the diagonal is the table itself.  A linear map keeps its image
+mask, its kernel mask and its k-normality.  The stores are left out of eq,
+hash and repr, and a module table pickles without them.
 """
 
 from __future__ import annotations
@@ -167,6 +167,12 @@ def _check_indices(n: int, what: str, *values) -> None:
     """Each of ``values`` is an index into a carrier of ``n`` elements."""
     if not all(_is_index(v) and 0 <= v < n for v in values):
         raise ShapeError(f"{what} index out of range")
+
+
+def _check_mask(n: int, what: str, mask) -> None:
+    """``mask`` is a subset of a carrier of ``n`` elements, as a bitset."""
+    if not _is_index(mask) or mask < 0 or mask >> n:
+        raise ShapeError(f"{what} {mask!r} is not a subset of the {n} elements")
 
 
 # ---------------------------------------------------------------------------
@@ -453,49 +459,32 @@ class SemimoduleTable:
         return next((g for g, col in enumerate(self.columns) if len(set(col)) == n), None)
 
     @cached_property
-    def _subtractive_lattices(self) -> dict[Limits, Enumeration]:
-        """The subtractive enumerations made so far, by their limits; not a
+    def _store(self) -> dict:
+        """The structure derived so far (see :func:`_stored`); not a
         dataclass field, so it is left out of eq, hash and repr."""
         return {}
 
-    @cached_property
-    def _subsemimodule_lattices(self) -> dict[Limits, Enumeration]:
-        """The full subsemimodule enumerations made so far, by their limits;
-        not a dataclass field, as above."""
-        return {}
-
-    @cached_property
-    def _bourne_quotients(self) -> dict[int, tuple[SemimoduleTable, LinearMap]]:
-        """The Bourne quotients M/K built so far, with their projections, by
-        the mask of K; not a dataclass field, as above."""
-        return {}
-
-    @cached_property
-    def _quotients(self) -> dict[tuple[int, ...], tuple[SemimoduleTable, LinearMap]]:
-        """The quotients built so far, with their projections, by the class
-        map of the congruence; not a dataclass field, as above."""
-        return {}
-
-    @cached_property
-    def _sub_modules(self) -> dict[int, tuple[SemimoduleTable, tuple[int, ...]]]:
-        """The promoted subsemimodules built so far, with their index maps,
-        by mask; not a dataclass field, as above."""
-        return {}
-
-    @cached_property
-    def _zero_maps(self) -> dict[SemimoduleTable, LinearMap]:
-        """The zero maps out of this module built so far, by target; not a
-        dataclass field, as above."""
-        return {}
-
     def __getstate__(self) -> dict:
-        """The dataclass fields alone.  A store can hold a table keyed by a
-        table that refers back to this one, which unpickling would hash
-        before its fields are set; the stores refill on demand."""
+        """The dataclass fields alone.  The store can hold a table keyed by
+        a table that refers back to this one, which unpickling would hash
+        before its fields are set; the store refills on demand."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __repr__(self) -> str:
         return f"SemimoduleTable(order={self.order}, base_order={self.base.order})"
+
+
+def _stored(m: SemimoduleTable, build, key):
+    """``build(m, key)``, built on the first call and kept in ``m``'s store
+    under (build, key), the builder naming the kind; later calls with an
+    equal key return that same object.  The store's only reader and writer."""
+    store = m._store
+    try:
+        return store[build, key]
+    except KeyError:
+        pass  # build outside the handler, so its errors do not chain to this
+    value = store[build, key] = build(m, key)
+    return value
 
 
 def semimodule_violations(base: SemiringTable, add: Table, act: Table, zero: int) -> list[Violation]:
@@ -593,8 +582,7 @@ class SubStructure:
 
     def __post_init__(self):
         m, mask = self.parent, self.members
-        if not _is_index(mask) or mask < 0 or mask >> m.order:
-            raise ShapeError(f"members {mask!r} is not a subset of the {m.order} elements")
+        _check_mask(m.order, "members", mask)
         if not mask >> m.zero & 1:
             raise IncompatiblePartition("substructure must contain zero")
         escaped = _closure_mask(m, mask) & ~mask
@@ -603,12 +591,6 @@ class SubStructure:
 
     def elements(self) -> Iterator[int]:
         return bits(self.members)
-
-    def size(self) -> int:
-        return self.members.bit_count()
-
-    def contains(self, x: int) -> bool:
-        return bool(self.members >> x & 1)
 
     @property
     def subtractive_closure_members(self) -> int:
@@ -691,9 +673,14 @@ def _subtractive_closure_mask(m: SemimoduleTable, mask: int) -> int:
 
 
 def generated_subsemimodule(m: SemimoduleTable, seed) -> SubStructure:
-    """Smallest SubStructure of ``m`` containing ``seed`` (iterable or mask)."""
-    seed_mask = seed if isinstance(seed, int) else mask_of(seed)
-    return SubStructure(m, _closure_mask(m, seed_mask))
+    """Smallest SubStructure of ``m`` containing ``seed`` (iterable or mask);
+    :class:`ShapeError` on an element or a mask outside the carrier."""
+    if not isinstance(seed, int):
+        seed = tuple(seed)
+        _check_indices(m.order, "seed", *seed)
+        seed = mask_of(seed)
+    _check_mask(m.order, "seed", seed)
+    return SubStructure(m, _closure_mask(m, seed))
 
 
 def subtractive_closure(sub: SubStructure) -> SubStructure:
@@ -705,23 +692,26 @@ def sub_module(sub: SubStructure) -> tuple[SemimoduleTable, tuple[int, ...]]:
     """Promote a SubStructure to its own SemimoduleTable.
 
     Returns the promoted module plus ``to_parent``: new index -> parent index.
-    The whole carrier promotes to the parent itself.  Any other mask is
-    built once per parent table: the first call stores the pair on the
-    parent, and later calls for the same members return that same pair.
+    The whole carrier promotes to the parent itself; stored by mask.
     """
-    parent = sub.parent
-    if sub.members == full_mask(parent.order):
+    return _sub_module(sub.parent, sub.members)
+
+
+def _sub_module(parent: SemimoduleTable, mask: int) -> tuple[SemimoduleTable, tuple[int, ...]]:
+    """:func:`sub_module` of a mask that the engine has closed itself,
+    with no SubStructure built for it."""
+    return _stored(parent, _promote, mask)
+
+
+def _promote(parent: SemimoduleTable, mask: int) -> tuple[SemimoduleTable, tuple[int, ...]]:
+    if mask == full_mask(parent.order):
         return parent, tuple(range(parent.order))
-    stored = parent._sub_modules
-    if sub.members in stored:
-        return stored[sub.members]
-    to_parent = tuple(bits(sub.members))
+    to_parent = tuple(bits(mask))
     back = {p: i for i, p in enumerate(to_parent)}.__getitem__
     add = tuple(tuple(map(back, map(parent.add[x].__getitem__, to_parent))) for x in to_parent)
     act = tuple(tuple(map(back, map(row.__getitem__, to_parent))) for row in parent.act)
     mod = SemimoduleTable(base=parent.base, order=len(to_parent), add=add, act=act,
                           zero=back(parent.zero))
-    stored[sub.members] = mod, to_parent
     return mod, to_parent
 
 
@@ -844,8 +834,11 @@ def congruence_closure(parent: Parent, pairs) -> CongruencePartition:
     """Smallest congruence relating all ``pairs``.
 
     Stops with the universal partition as soon as zero is related to a
-    cyclic generator (see :func:`_cyclic_generator`)."""
+    cyclic generator (see :func:`_cyclic_generator`).  Raises
+    :class:`ShapeError` on a pair outside the carrier."""
     n = parent.order
+    pairs = tuple(pairs)
+    _check_indices(n, "pair", *(x for pair in pairs for x in pair))
     uf = _UnionFind(n)
     queue = [(a, b) for a, b in pairs if uf.union(a, b)]
     zero, gen = parent.zero, _cyclic_generator(parent)
@@ -919,14 +912,21 @@ def _reach(add: Table, mask: int) -> list[int]:
 
 def bourne_quotient(m: SemimoduleTable, sub: SubStructure) -> tuple[SemimoduleTable, LinearMap]:
     """M/K by the Bourne congruence of K = ``sub``, plus the canonical
-    projection.  Built once per table and K: the first call stores the pair
-    on ``m``, and later calls for the same members return that same pair."""
+    projection; stored on ``m`` by the mask of K."""
     if sub.parent != m:
         raise IncompatiblePartition("substructure belongs to a different module")
-    stored = m._bourne_quotients
-    if sub.members not in stored:
-        stored[sub.members] = _quotient(m, bourne_congruence(m, sub))
-    return stored[sub.members]
+    return _bourne_quotient(m, sub.members)
+
+
+def _bourne_quotient(m: SemimoduleTable, mask: int) -> tuple[SemimoduleTable, LinearMap]:
+    """:func:`bourne_quotient` by a mask that the engine has closed itself.
+    The mask is checked as a SubStructure, and the zero class by
+    :func:`bourne_congruence`, once: when the quotient is first built."""
+    return _stored(m, _bourne_build, mask)
+
+
+def _bourne_build(m: SemimoduleTable, mask: int) -> tuple[SemimoduleTable, LinearMap]:
+    return _quotient(m, bourne_congruence(m, SubStructure(m, mask)))
 
 
 def _is_k_normal(add: Table, image_of: Sequence[int], kernel_mask: int) -> bool:
@@ -965,17 +965,15 @@ def _quotient(m: SemimoduleTable, rho: CongruencePartition):
     test_engine_built_values_pass_the_public_checks`` checks every
     partition the engine passes here.
 
-    The diagonal gives ``m`` itself with its identity map.  Any other
-    congruence is built once per table: the first call stores the pair on
-    ``m``, and later calls with the same class map return that same pair."""
-    class_of = rho.class_of
-    stored = m._quotients
-    if class_of in stored:
-        return stored[class_of]
-    k = rho.n_classes()
+    The diagonal gives ``m`` itself with its identity map.  Stored on
+    ``m`` by class map."""
+    return _stored(m, _quotient_build, rho.class_of)
+
+
+def _quotient_build(m: SemimoduleTable, class_of: tuple[int, ...]):
+    k = max(class_of) + 1
     if k == m.order:
-        stored[class_of] = m, _linear_map(m, m, class_of)
-        return stored[class_of]
+        return m, _linear_map(m, m, class_of)
     rep = [0] * k
     for x in range(m.order - 1, -1, -1):
         rep[class_of[x]] = x
@@ -984,8 +982,7 @@ def _quotient(m: SemimoduleTable, rho: CongruencePartition):
     act = tuple(tuple(map(cls, map(row.__getitem__, rep))) for row in m.act)
     quot = SemimoduleTable(base=m.base, order=k, add=add, act=act,
                            zero=class_of[m.zero])
-    stored[class_of] = quot, _linear_map(m, quot, class_of)
-    return stored[class_of]
+    return quot, _linear_map(m, quot, class_of)
 
 
 # ---------------------------------------------------------------------------
@@ -1136,10 +1133,11 @@ def identity_map(m: SemimoduleTable) -> LinearMap:
 def zero_map(source: SemimoduleTable, target: SemimoduleTable) -> LinearMap:
     """The zero map, checked once and stored on ``source`` by target: later
     calls for an equal target return that same map."""
-    stored = source._zero_maps
-    if target not in stored:
-        stored[target] = LinearMap(source, target, (target.zero,) * source.order)
-    return stored[target]
+    return _stored(source, _zero_map_build, target)
+
+
+def _zero_map_build(source: SemimoduleTable, target: SemimoduleTable) -> LinearMap:
+    return LinearMap(source, target, (target.zero,) * source.order)
 
 
 def inclusion_map(sub: SubStructure) -> tuple[SemimoduleTable, LinearMap]:
@@ -1172,19 +1170,16 @@ def enumerate_subsemimodules(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS
     (at most ``max_results``), each a real SubStructure (subtractive, with
     ``subtractive_only``), and ``exhaustive`` is False.
 
-    Each lattice, full or subtractive, is computed once per table and
-    ``limits``: the first such call stores its Enumeration on ``m``, and
-    later calls with equal limits return that same object, truncated or
-    not.  A call with other limits makes and stores its own.
+    Each lattice, full or subtractive, is stored on ``m`` by ``limits``,
+    truncated or not.
     """
-    if subtractive_only:
-        stored = m._subtractive_lattices
-        if limits not in stored and _is_idempotent(m):
-            stored[limits] = _subtractive_down_sets(m, limits)
-    else:
-        stored = m._subsemimodule_lattices
-    if limits in stored:
-        return stored[limits]
+    return _stored(m, _lattice, (limits, subtractive_only))
+
+
+def _lattice(m: SemimoduleTable, key: tuple[Limits, bool]) -> Enumeration:
+    limits, subtractive_only = key
+    if subtractive_only and _is_idempotent(m):
+        return _subtractive_down_sets(m, limits)
     close = _subtractive_closed_closure if subtractive_only else _closure_mask
     start = close(m, 0)
     seen = {start}
@@ -1210,8 +1205,7 @@ def enumerate_subsemimodules(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS
                 seen.add(nxt)
                 queue.append(nxt)
     subs = tuple(SubStructure(m, mask) for mask in sorted(seen))
-    stored[limits] = Enumeration(items=subs, exhaustive=exhaustive)
-    return stored[limits]
+    return Enumeration(items=subs, exhaustive=exhaustive)
 
 
 def _subtractive_down_sets(m: SemimoduleTable, limits: Limits) -> Enumeration:

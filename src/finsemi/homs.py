@@ -17,15 +17,15 @@ from .core import (
     SemimoduleTable,
     SubStructure,
     Table,
-    _closure_mask,
+    _bourne_quotient,
     _cyclic_generator,
     _is_linear,
     _linear_map,
+    _sub_module,
     _subtractive_closure_mask,
     bits,
-    bourne_quotient,
+    full_mask,
     mask_of,
-    sub_module,
     zero_map,
     zero_module,
 )
@@ -38,29 +38,28 @@ from .errors import LimitExceeded, NotComposable
 
 @lru_cache(maxsize=65536)
 def generating_set(m: SemimoduleTable) -> tuple[int, ...]:
-    """A small generating set, grown greedily in ascending element order."""
-    gens: list[int] = []
-    closed = _closure_mask(m, 0)
-    while closed != (1 << m.order) - 1:
-        x = next(i for i in range(m.order) if not closed >> i & 1)
-        gens.append(x)
-        closed = _closure_mask(m, closed | 1 << x)
-    return tuple(gens)
+    """A small generating set, grown greedily in ascending element order:
+    the generators g_i of :func:`_derivations`."""
+    return tuple(new[0][0] for new in _derivations(m))
 
 
 @lru_cache(maxsize=65536)
 def _derivations(m: SemimoduleTable) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Per generator g_i of :func:`generating_set`, the elements that
-    N_i = N_(i-1) + S.g_i adds to N_(i-1), with N_0 = {0}: each once, as
-    (x, y, s) with x = y + s.g_i and y in N_(i-1).  The first is g_i itself,
-    as 0 + 1.g_i, so a map built on these sends g_i where it is told to.
+    """The greedy generators and what each adds.  With N_0 = {0}, while
+    N_(i-1) is not the whole carrier, g_i is the least element outside it
+    and N_i = N_(i-1) + S.g_i.  Per g_i, the elements N_i adds to N_(i-1),
+    each once, as (x, y, s) with x = y + s.g_i and y in N_(i-1).  The first
+    is g_i itself, as 0 + 1.g_i, so a map built on these sends g_i where it
+    is told to.
 
     That sum set is N_i, the submodule generated by N_(i-1) and g_i: it
     holds both, and it is closed, as (y + s.g) + (y' + t.g) =
     (y + y') + (s + t).g and r.(y + s.g) = r.y + (rs).g."""
+    full = full_mask(m.order)
     known = 1 << m.zero
     out = []
-    for g in generating_set(m):
+    while known != full:
+        g = (~known & (known + 1)).bit_length() - 1
         members = list(bits(known))
         known |= 1 << g
         new = [(g, m.zero, m.base.one)]
@@ -76,14 +75,14 @@ def _derivations(m: SemimoduleTable) -> tuple[tuple[tuple[int, int, int], ...], 
 
 @lru_cache(maxsize=65536)
 def _stages(m: SemimoduleTable) -> tuple[tuple[SemimoduleTable, tuple[int, ...], tuple], ...]:
-    """Per generator g_i: N_i promoted (:func:`core.sub_module`, the last is
+    """Per generator g_i: N_i promoted (:func:`core._sub_module`, the last is
     ``m`` itself), its index map into ``m``, and the derivations of the
     elements it adds (:func:`_derivations`)."""
     stages = []
     members = 1 << m.zero
     for new in _derivations(m):
         members |= mask_of(x for x, _, _ in new)
-        stages.append((*sub_module(SubStructure(m, members)), new))
+        stages.append((*_sub_module(m, members), new))
     return tuple(stages)
 
 
@@ -374,7 +373,7 @@ def short_exact_equivalences(f: LinearMap, g: LinearMap) -> dict[str, bool]:
     if embeds:
         # f corestricted to its image is then automatically an isomorphism,
         # and the image is subtractive, as every kernel is
-        quot, proj = bourne_quotient(m, SubStructure(m, f.image_mask()))
+        quot, proj = _bourne_quotient(m, f.image_mask())
         # g induces a map on M/f(L) iff it is constant on each class
         induced = tuple(v for _, v in sorted(set(zip(proj.image_of, g.image_of))))
         if len(induced) == quot.order and _is_linear(quot, n, induced):

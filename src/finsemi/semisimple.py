@@ -13,11 +13,12 @@ from .core import (
     SemimoduleTable,
     SemiringTable,
     SubStructure,
+    _bourne_quotient,
     _closure_mask,
     _quotient,
+    _sub_module,
     _translations,
     bits,
-    bourne_quotient,
     congruence_closure,
     enumerate_congruences,
     enumerate_subsemimodules,
@@ -233,7 +234,7 @@ def semisimplicity_profile(s: SemiringTable, limits: Limits = DEFAULT_LIMITS) ->
     ideal_simple_masks = []
     cong_simple_masks = []
     for mask in candidates:
-        part, _ = sub_module(SubStructure(m, mask))
+        part, _ = _sub_module(m, mask)
         if is_module_ideal_simple(part)[0]:
             ideal_simple_masks.append(mask)
         if is_module_congruence_simple(part)[0]:
@@ -301,7 +302,7 @@ def condition_profile_for_module(n: SemimoduleTable,
         inside = [t.members for t in subt if t.members & ~sub.members == 0]
         for lmask in _maximal_proper(inside, sub.members):
             local = mask_of(back[x] for x in bits(lmask))
-            quot, _ = bourne_quotient(inner, SubStructure(inner, local))
+            quot, _ = _bourne_quotient(inner, local)
             pair = (sub.members, lmask)
             if c2 and not is_module_ideal_simple(quot)[0]:
                 c2, c2_w = False, pair

@@ -173,13 +173,13 @@ def emit_semiring(s: SemiringTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_semimodule(m: SemimoduleTable, with_base: bool = True) -> str:
-    prefix = emit_semiring(m.base) if with_base else ""
+def emit_semimodule(m: SemimoduleTable) -> str:
+    """The base semiring's block, then the module's."""
     lines = ["semimodule", f"order {m.order}", f"zero {m.zero}", "add"]
     lines += _rows(m.add)
     lines.append("act")
     lines += _rows(m.act)
-    return prefix + "\n".join(lines) + "\n"
+    return emit_semiring(m.base) + "\n".join(lines) + "\n"
 
 
 def emit_lattice(lat: LatticeSpec) -> str:

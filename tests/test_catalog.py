@@ -19,6 +19,7 @@ from finsemi.catalog import (
 from finsemi import catalog
 from finsemi.core import Limits, v_and_k_sets
 from finsemi.errors import (
+    AxiomViolations,
     DegenerateStructure,
     InvalidParameters,
     LimitExceeded,
@@ -109,6 +110,24 @@ def test_pentagon_shape():
 def test_validate_lattice_rejects_indices_outside_the_carrier(join, bottom, top, meet, message):
     with pytest.raises(ShapeError, match=re.escape(message)):
         catalog.validate_lattice(join, bottom, top, meet)
+
+
+@pytest.mark.parametrize("join, meet", [
+    # both pass absorption; meet[1][0] and meet[2][1] are not lower bounds
+    ([[0, 1], [1, 1]], [[0, 0], [1, 1]]),
+    ([[0, 1, 2], [1, 1, 2], [2, 2, 2]], [[0, 0, 0], [0, 1, 1], [0, 2, 2]]),
+])
+def test_validate_lattice_rejects_a_meet_that_is_not_the_greatest_lower_bound(join, meet):
+    n = len(join)
+    with pytest.raises(AxiomViolations) as caught:
+        catalog.validate_lattice(join, 0, n - 1, meet)
+    assert [v.law for v in caught.value.violations] == ["meet-is-greatest-lower-bound"]
+    assert caught.value.violations[0].witness == (n - 1, n - 2)
+
+
+@pytest.mark.parametrize("lat", [chain_lattice(1), chain_lattice(4), diamond_m3(), pentagon_n5()])
+def test_named_lattices_pass_the_meet_check(lat):
+    assert catalog.validate_lattice(lat.join, lat.bottom, lat.top, lat.meet) == lat
 
 
 def test_lattice_from_leq_rejects_joinless_posets():

@@ -238,3 +238,20 @@ def test_catalog_lattice_rejects_indices_outside_the_carrier(tmp_path, capsys, b
     assert run(["catalog", "lattice", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("meet", [((0, 0), (1, 1)), ((0, 0, 0), (0, 1, 1), (0, 2, 2))])
+def test_validate_rejects_a_meet_table_that_is_not_the_meet(tmp_path, capsys, meet):
+    from finsemi.catalog import LatticeSpec
+    from finsemi.textio import emit_lattice
+
+    n = len(meet)
+    join = tuple(tuple(max(a, b) for b in range(n)) for a in range(n))
+    path = tmp_path / "bad.lat"
+    path.write_text(emit_lattice(LatticeSpec(n, join, 0, n - 1, meet)), encoding="utf-8")
+    assert run(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        f"invalid:\n  meet-is-greatest-lower-bound fails at ({n - 1}, {n - 2})\n")
+    assert run(["catalog", "lattice", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "meet-is-greatest-lower-bound" in captured.err

@@ -14,7 +14,9 @@ from finsemi.core import (
     LinearMap,
     Limits,
     SubStructure,
+    _bourne_quotient,
     _quotient,
+    _sub_module,
     _scalar_rows,
     bits,
     bourne_congruence,
@@ -195,6 +197,19 @@ def test_generated_in_product(B):
     mb = B.left_module()
     m = product_module(mb, mb)  # (x, y) -> index 2 x + y
     assert generated_subsemimodule(m, [2]).members == mask_of([0, 2])
+
+
+@pytest.mark.parametrize("seed", [[5], [-1], [True], 1 << 3, -1, True])
+def test_generated_subsemimodule_rejects_seeds_outside_the_carrier(B31, seed):
+    with pytest.raises(ShapeError):
+        generated_subsemimodule(B31.left_module(), seed)
+
+
+@pytest.mark.parametrize("pairs", [[(0, 7)], [(-1, 0)], [(0, True)]])
+def test_congruence_closure_rejects_pairs_outside_the_carrier(B31, pairs):
+    for parent in (B31, B31.left_module()):
+        with pytest.raises(ShapeError):
+            congruence_closure(parent, pairs)
 
 
 def test_subtractive_closure_examples(B31, B43):
@@ -742,6 +757,21 @@ def test_derived_modules_and_maps_are_built_once(B31):
     other = make_B(3, 1)
     assert other == B31 and zero_module(other) is not z and zero_module(other) == z
     assert sub_module(SubStructure(other.left_module(), 0b101))[0] is not part
+
+
+def test_the_mask_accessors_share_the_store_of_the_checked_wrappers(B31, catalog_fixtures):
+    # a mask the engine closed itself reaches the same stored pairs as a
+    # checked SubStructure, whichever comes first
+    for m in [B31.left_module()] + [s.left_module() for _, s in catalog_fixtures]:
+        for i, k in enumerate(t.members for t in enumerate_subsemimodules(m)):
+            if i % 2:
+                assert sub_module(SubStructure(m, k)) is _sub_module(m, k)
+            else:
+                assert _sub_module(m, k) is sub_module(SubStructure(m, k))
+            if SubStructure(m, k).is_subtractive():
+                quot = bourne_quotient(m, SubStructure(m, k))
+                assert _bourne_quotient(m, k) is quot
+                assert bourne_quotient(m, SubStructure(m, k)) is quot
 
 
 def test_the_whole_carrier_and_the_diagonal_give_the_module_itself(B31, catalog_fixtures):

@@ -14,6 +14,7 @@ from finsemi.core import (
     Limits,
     LinearMap,
     SubStructure,
+    _closure_mask,
     _cyclic_generator,
     bits,
     bourne_congruence,
@@ -181,6 +182,38 @@ def _dfs_budgets(a, family):
         yield b, budget, sum(itertools.accumulate(counts, operator.mul))
 
 
+def _greedy_generators(m):
+    """The reference for :func:`generating_set`: close the generators found
+    so far, and add the least element outside, until the closure is the
+    whole carrier."""
+    gens, closed = [], _closure_mask(m, 0)
+    while closed != full_mask(m.order):
+        x = next(i for i in range(m.order) if not closed >> i & 1)
+        gens.append(x)
+        closed = _closure_mask(m, closed | 1 << x)
+    return tuple(gens)
+
+
+def test_generating_set_is_the_greedy_closure_walk(catalog_fixtures, relabelled):
+    # every member of the order <= 4 families, the fixtures' regular
+    # modules, and the non-cyclic sums of the DFS tests with their
+    # relabellings
+    mods = [s.left_module() for _, s in catalog_fixtures]
+    for s in (s for order in (2, 3, 4) for s in enumerate_semirings(order)):
+        family = bounded_family(s)
+        mods += family
+        sums = [product_module(a, c) for i, a in enumerate(family) for c in family[i:]
+                if s.order < 4 or a.order * c.order <= 6]
+        for a in (m for m in sums if _cyclic_generator(m) is None):
+            n = a.order
+            pis = (itertools.permutations(range(n)) if n == 4
+                   else [tuple(reversed(range(n))), tuple(range(1, n)) + (0,)])
+            mods += [a] + [relabelled(a, pi) for pi in pis]
+    assert len(mods) > 1000
+    for m in mods:
+        assert generating_set(m) == _greedy_generators(m)
+
+
 def test_the_dfs_budget_counts_the_linear_maps_on_each_stage():
     # sources are the non-cyclic sums of two members of the order <= 3
     # families, and those of order <= 6 of the order-4 families: only among
@@ -340,6 +373,28 @@ def test_canonical_sequence_is_exact(B31):
     _, proj = quotient_by_congruence(m, bourne_congruence(m, ideal))
     assert classify_junction(incl, proj).exact
     assert is_short_exact(incl, proj)
+
+
+def test_a_repeated_sequence_check_builds_no_substructure(B31, monkeypatch):
+    # the Bourne quotient by f(L) is reached by its mask, so only the first
+    # call, which builds the quotient, checks that mask as a SubStructure
+    from finsemi import core
+
+    m, ideal = _ideal(B31)
+    _, incl = inclusion_map(ideal)
+    _, proj = quotient_by_congruence(m, bourne_congruence(m, ideal))
+    first = short_exact_equivalences(incl, proj)
+    assert first == {"exact": True, "iso": True, "explicit": True}
+    built = []
+    original = core.SubStructure.__post_init__
+
+    def counting(self):
+        built.append(self.members)
+        original(self)
+
+    monkeypatch.setattr(core.SubStructure, "__post_init__", counting)
+    assert short_exact_equivalences(incl, proj) == first
+    assert built == []
 
 
 def test_non_subtractive_kernel_gives_semi_exact_only(B43):
