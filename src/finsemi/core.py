@@ -20,10 +20,12 @@ a predicate on an image works on the image mask and builds no SubStructure.
 Derived structure is built once and stored, outside the dataclass fields,
 on the table it is derived from, so every caller shares one object and
 every ``lru_cache`` keyed on it hits by identity instead of comparing whole
-tables.  A semiring table keeps its left module and its zero module
-(:func:`zero_module`); a module table its columns (the action transposed,
-one column of scalar actions per element) and its cyclic generator
-(:func:`_cyclic_generator`), which the Hom search reads.  All else derived
+tables.  A semiring table keeps its left module, its zero module
+(:func:`zero_module`) and a generating set under + and ·; a module table
+its columns (the action transposed, one column of scalar actions per
+element) and its cyclic generator (:func:`_cyclic_generator`), which the
+Hom search reads.  Both keep the generating translations that every
+closure applies (:func:`_generating_translations`).  All else derived
 from a module table sits in its one store, which :func:`_stored` alone
 reads and writes: its lattices, by limits (:func:`enumerate_subsemimodules`),
 and each promoted subsemimodule (:func:`sub_module`), quotient
@@ -229,14 +231,30 @@ class SemiringTable:
     @cached_property
     def scalar_rows(self) -> tuple[tuple[int, ...], ...]:
         """Left and right multiplication by each element as image rows,
-        interleaved: the maps a two-sided ideal or a semiring congruence is
-        closed under.  Computed once per table; not a dataclass field, so it
-        is left out of eq, hash and repr."""
+        interleaved: every map a two-sided ideal or a semiring congruence is
+        closed under.  Only the checker :func:`partition_violations` reads
+        them all; closures read :attr:`generating_translations`.  Computed
+        once per table; not a dataclass field, so it is left out of eq, hash
+        and repr."""
         out = []
         for c in range(self.order):
             out.append(self.mul[c])
             out.append(tuple(row[c] for row in self.mul))
         return tuple(out)
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A set that generates the carrier under + and ·, together with
+        zero and one, greedy in index order (:func:`_generators`).  Computed
+        once per table, as above."""
+        cols = tuple(zip(*self.mul))
+        return tuple(_generators((self.add, self.mul, cols), (self.zero, self.one)))
+
+    @cached_property
+    def generating_translations(self) -> tuple[Table, Table]:
+        """:func:`_generating_translations`, computed once per table, as
+        above."""
+        return _generating_translations(self)
 
     def __repr__(self) -> str:
         return f"SemiringTable(order={self.order}, zero={self.zero}, one={self.one})"
@@ -250,7 +268,7 @@ def semiring_violations(add: Table, mul: Table, zero: int, one: int) -> list[Vio
     triples (both associative laws, both distributive laws) would take n³
     steps; when the quadratic checks pass, they are first decided exactly
     at the elements of a set G that generates the carrier under +
-    (:func:`_additive_generators`), in O(|G|·n²) steps.  Only if that
+    (:func:`_generators`), in O(|G|·n²) steps.  Only if that
     fails does the all-triples scan run, which lists every failure.  Light's
     associativity test (A. H. Clifford and G. B. Preston, *The Algebraic
     Theory of Semigroups*, vol. 1, AMS 1961) carries over as follows, with
@@ -309,30 +327,36 @@ def semiring_violations(add: Table, mul: Table, zero: int, one: int) -> list[Vio
     return out
 
 
-def _additive_generators(add: Table, zero: int) -> list[int]:
-    """A set that generates the carrier under a commutative +, chosen
-    greedily in index order: each element not yet reached is added, and the
-    reached set is closed by summing each newly reached element with every
-    reached one, so the whole walk sums O(n²) pairs."""
-    reached = [False] * len(add)
-    reached[zero] = True
-    members = [zero]
+def _generators(tables: Sequence[Table], free: Sequence[int]) -> list[int]:
+    """A set that generates the carrier, together with the elements
+    ``free``, under the binary operations ``tables``, chosen greedily in
+    index order.  Each element not yet reached is added, and the reached
+    set is closed by applying every table to each newly reached element z
+    and every reached y as ``t[z][y]``, so the whole walk applies each
+    table to O(n²) pairs.  A non-commutative operation goes in twice, as
+    its table and its transpose, so that y·z is reached as well as z·y."""
+    n = len(tables[0])
+    reached = [False] * n
+    members: list[int] = []
     gens = []
-    for g in range(len(add)):
+    for k, g in enumerate((*free, *range(n))):
         if reached[g]:
             continue
-        gens.append(g)
+        if k >= len(free):
+            gens.append(g)
         reached[g] = True
         members.append(g)
         todo = [g]
         while todo:
-            row = add[todo.pop()]
-            for y in members:
-                z = row[y]
-                if not reached[z]:
-                    reached[z] = True
-                    members.append(z)
-                    todo.append(z)
+            x = todo.pop()
+            for t in tables:
+                row = t[x]
+                for y in members:
+                    z = row[y]
+                    if not reached[z]:
+                        reached[z] = True
+                        members.append(z)
+                        todo.append(z)
     return gens
 
 
@@ -348,7 +372,7 @@ def _holds_on_additive_generators(add: Table, mul: Table, zero: int) -> bool:
     through_row = [itemgetter(*row) for row in mul]
     through_col = [itemgetter(*col) for col in cols]
     rng = range(len(add))
-    for g in _additive_generators(add, zero):
+    for g in _generators((add,), (zero,)):
         plus_g, times_g = itemgetter(*add[g]), itemgetter(*mul[g])
         # (x+g)+y = x+(g+y), a(g+c) = ag+ac, (g+c)a = ga+ca, (xg)y = x(gy)
         if not all(add[add[x][g]] == plus_g(add[x])
@@ -457,6 +481,12 @@ class SemimoduleTable:
         if self.base.order < n:
             return None
         return next((g for g, col in enumerate(self.columns) if len(set(col)) == n), None)
+
+    @cached_property
+    def generating_translations(self) -> tuple[Table, Table]:
+        """:func:`_generating_translations`, computed once per table, not a
+        dataclass field, as above."""
+        return _generating_translations(self)
 
     @cached_property
     def _store(self) -> dict:
@@ -605,16 +635,19 @@ class SubStructure:
 
 def _closure_mask(m: Parent, seed: int, base: int = 0) -> int:
     """Smallest subset containing ``base``, ``seed`` and zero that is closed
-    under addition and under every map of ``_scalar_rows(m)``: a
-    subsemimodule, or a two-sided ideal when ``m`` is a semiring.
+    under addition and under every scalar map: a subsemimodule, or a
+    two-sided ideal when ``m`` is a semiring.  Only the scalar maps of the
+    base semiring's generators are applied (the second part of
+    :func:`_generating_translations`): a set that holds zero and is closed
+    under + and under those is closed under every scalar.
 
     ``base`` must itself be closed (a closed mask, or 0).  Its sums and
     scalar images are then already inside it, so only the elements outside
     it are worked: each is summed with every member once and mapped by every
-    scalar row.  The search returns as soon as the mask is the whole
-    carrier."""
+    generating scalar row.  The search returns as soon as the mask is the
+    whole carrier."""
     add = m.add
-    rows = _scalar_rows(m)
+    rows = m.generating_translations[1]
     full = full_mask(m.order)
     mask = base | seed | 1 << m.zero
     if mask == full:
@@ -788,12 +821,54 @@ def _scalar_rows(parent: Parent) -> Sequence[tuple[int, ...]]:
 
 
 def _translations(parent: Parent) -> list[tuple[int, ...]]:
-    """Unary polynomial translations generating all compatibility constraints:
+    """Every unary polynomial translation that a congruence must respect:
     x -> x + c for each c (row c of the commutative addition), then the
-    scalar maps."""
+    scalar maps.  The checker :func:`partition_violations` reads these, so
+    that it does not rest on the generator argument of
+    :func:`_generating_translations` that it checks."""
     out = list(parent.add)
     out.extend(_scalar_rows(parent))
     return out
+
+
+def _generating_translations(parent: Parent) -> tuple[Table, Table]:
+    """Translations that every closure in the engine needs, as a pair of
+    image-row tuples (sums, scalars): x -> x + g for each g of a set G that
+    generates the carrier under + (:func:`_generators`), then the scalar
+    maps of a set T that, with 0 and 1, generates the base semiring S under
+    + and · (:attr:`SemiringTable.generators`): x -> t.x on a semimodule,
+    x -> t.x and x -> x.t on a semiring.  Each table stores its pair as
+    ``generating_translations``.
+
+    An equivalence ~ closed under these is closed under every translation
+    (Freese, "Computing congruences efficiently", *Algebra Universalis* 59,
+    2008, for the general case; the argument is that of the generator gate
+    of :func:`semiring_violations`):
+
+    - **Sums.**  The set of c with x + c ~ y + c whenever x ~ y holds 0,
+      and with c it holds c + g for each g in G, since (x + c) + g ~
+      (y + c) + g.  So it holds every sum of generators: the carrier.
+    - **Scalars.**  The set of s with s.x ~ s.y whenever x ~ y holds 0
+      (both sides are 0), 1 and T.  It is closed under ·, as
+      (st).x = s.(t.x) ~ s.(t.y) = (st).y, and under +, as
+      (s+t).x = s.x + t.x ~ s.y + t.x ~ s.y + t.y by the sums.  So it is
+      all of S.  Right multiplication on a semiring is the mirror image:
+      x(st) = (xs)t and x(s+t) = xs + xt.
+
+    The same argument with "s.x is in N for every x in N" in place of
+    "s.x ~ s.y" shows that a set N that holds zero and is closed under +
+    and under the scalars of T is closed under every scalar: the closures
+    of :func:`_closure_mask` and :func:`_subtractive_down_sets` read the
+    second part only."""
+    add = parent.add
+    sums = tuple(add[g] for g in _generators((add,), (parent.zero,)))
+    if isinstance(parent, SemimoduleTable):
+        scalars = tuple(parent.act[t] for t in parent.base.generators)
+    else:
+        mul = parent.mul
+        scalars = tuple(row for t in parent.generators
+                        for row in (mul[t], tuple(r[t] for r in mul)))
+    return sums, scalars
 
 
 def _cyclic_generator(parent: Parent) -> int | None:
@@ -807,51 +882,55 @@ def _cyclic_generator(parent: Parent) -> int | None:
     return parent.cyclic_generator
 
 
-class _UnionFind:
-    __slots__ = ("p",)
-
-    def __init__(self, n: int):
-        self.p = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.p
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.p[rb] = ra
-        return True
-
-
 def congruence_closure(parent: Parent, pairs) -> CongruencePartition:
     """Smallest congruence relating all ``pairs``.
 
-    Stops with the universal partition as soon as zero is related to a
-    cyclic generator (see :func:`_cyclic_generator`).  Raises
-    :class:`ShapeError` on a pair outside the carrier."""
+    The pairs are closed under the generating translations of
+    :func:`_generating_translations` only, which give the same congruence.
+    The classes are a flat list of class ids, each the least member of its
+    class, merged by :func:`_merge`.  Each merged pair is queued once, and
+    its image under a translation costs two list reads.  Stops with the
+    universal partition as soon as zero is related to a cyclic generator
+    (see :func:`_cyclic_generator`).  Raises :class:`ShapeError` on a pair
+    outside the carrier."""
     n = parent.order
     pairs = tuple(pairs)
     _check_indices(n, "pair", *(x for pair in pairs for x in pair))
-    uf = _UnionFind(n)
-    queue = [(a, b) for a, b in pairs if uf.union(a, b)]
+    sums, scalars = parent.generating_translations
+    trans = sums + scalars
     zero, gen = parent.zero, _cyclic_generator(parent)
-    trans = _translations(parent)
+    cls, size = list(range(n)), [1] * n
+    queue = []
+    for x, y in pairs:
+        p, q = cls[x], cls[y]
+        if p != q:
+            _merge(cls, size, p, q)
+            queue.append((x, y))
     while queue:
         a, b = queue.pop()
         for t in trans:
             x, y = t[a], t[b]
-            if uf.union(x, y):
-                if gen is not None and uf.find(zero) == uf.find(gen):
+            p, q = cls[x], cls[y]
+            if p != q:
+                _merge(cls, size, p, q)
+                if gen is not None and cls[zero] == cls[gen]:
                     return universal_partition(parent)
                 queue.append((x, y))
-    return CongruencePartition(parent, _normalize_class_of([uf.find(x) for x in range(n)]))
+    return CongruencePartition(parent, _normalize_class_of(cls))
+
+
+def _merge(cls: list[int], size: list[int], p: int, q: int) -> None:
+    """Merge classes ``p`` and ``q`` of the flat class map ``cls`` in place,
+    under the smaller id; ``size`` counts the members of each class id.
+    Each id is the least member of its class, so the other class's members
+    are found from its own index on, by the list's own search."""
+    if q < p:
+        p, q = q, p
+    i = q
+    for _ in range(size[q]):
+        i = cls.index(q, i)
+        cls[i] = p
+    size[p] += size[q]
 
 
 def partition_violations(parent: Parent, class_of: Sequence[int]) -> list[Violation]:
@@ -1218,13 +1297,17 @@ def _subtractive_down_sets(m: SemimoduleTable, limits: Limits) -> Enumeration:
     N = D(T).  Conversely each D(c) holds zero, is closed under addition
     (x + y + c = x + c + y + c = c) and is subtractive: x + y and y in D(c)
     give x <= x + y <= c.  Each scalar s is additive, hence monotone, so
-    D(c) is closed under s iff s.c lies in D(c), that is s.c + c = c.
+    D(c) is closed under s iff s.c lies in D(c), that is s.c + c = c.  It
+    is tested for the generating scalars of
+    :func:`_generating_translations` only: D(c) holds zero and is closed
+    under +, so closed under those it is closed under every scalar.
     Distinct c give distinct D(c).
 
     D(zero) = {zero} is the least and is put in before any step; every other
     candidate c, in ascending order, is one step.  The limits cut as in
     :func:`enumerate_subsemimodules`."""
     add, n = m.add, m.order
+    scalars = m.generating_translations[1]
     found = [1 << m.zero]
     exhaustive = True
     steps = 0
@@ -1235,7 +1318,7 @@ def _subtractive_down_sets(m: SemimoduleTable, limits: Limits) -> Enumeration:
         if steps > limits.max_steps:
             exhaustive = False
             break
-        if all(add[row[c]][c] == c for row in m.act):
+        if all(add[row[c]][c] == c for row in scalars):
             if len(found) >= limits.max_results:
                 exhaustive = False
                 break
@@ -1296,14 +1379,17 @@ def enumerate_congruences(parent: Parent, limits: Limits = DEFAULT_LIMITS) -> En
 
 
 def _join(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    """The join of two equivalences given by normalized class maps: a
-    union-find pass over the classes of ``x``, merging those that meet a
-    common class of ``y``."""
-    uf = _UnionFind(max(x) + 1)
+    """The join of two equivalences given by normalized class maps: a flat
+    map over the classes of ``x`` (see :func:`_merge`), merging two of them
+    whenever a class of ``y`` meets both."""
+    k = max(x) + 1
+    cls, size = list(range(k)), [1] * k
     first: dict[int, int] = {}
     for cx, cy in zip(x, y):
-        uf.union(first.setdefault(cy, cx), cx)
-    return _normalize_class_of([uf.find(c) for c in x])
+        p, q = cls[first.setdefault(cy, cx)], cls[cx]
+        if p != q:
+            _merge(cls, size, p, q)
+    return _normalize_class_of([cls[c] for c in x])
 
 
 def _is_idempotent(parent: Parent) -> bool:

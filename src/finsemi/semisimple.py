@@ -16,8 +16,8 @@ from .core import (
     _bourne_quotient,
     _closure_mask,
     _quotient,
+    _stored,
     _sub_module,
-    _translations,
     bits,
     congruence_closure,
     enumerate_congruences,
@@ -68,19 +68,31 @@ def is_module_congruence_simple(m: Parent) -> tuple[bool, CongruencePartition | 
     semimodule, or of a semiring under both multiplications).
 
     Simple iff every principal congruence Cg(a, b), a < b, is universal.
-    For every translation t (see :func:`core._translations`), Cg(t(a), t(b))
-    is inside Cg(a, b), since a congruence relating a and b relates t(a) and
-    t(b).  So the pairs are walked in (a, b) order, and (a, b) is universal
-    without a closure when some t maps it to distinct t(a), t(b) already
-    known to be universal.  Only the others are closed.  A pair whose
-    congruence is not universal is never settled that way, so the first one
-    is still the first in (a, b) order, and the witness is the congruence
-    the one-closure-per-pair walk returns.
+    For every translation t, Cg(t(a), t(b)) is inside Cg(a, b), since a
+    congruence relating a and b relates t(a) and t(b).  So the pairs are
+    walked in (a, b) order, and (a, b) is universal without a closure when
+    one of the generating translations (see
+    :func:`core._generating_translations`, which the closures apply too)
+    maps it to distinct t(a), t(b) already known to be universal.  Only the
+    others are closed.  A pair whose congruence is not universal is never
+    settled that way, so the first one is still the first in (a, b) order,
+    and the witness is the congruence the one-closure-per-pair walk
+    returns.
+
+    The verdict of a semimodule is stored on its table (see
+    :func:`core._stored`); a semiring's is computed on every call.
     """
+    if isinstance(m, SemimoduleTable):
+        return _stored(m, _congruence_simple, None)
+    return _congruence_simple(m, None)
+
+
+def _congruence_simple(m: Parent, _key: None) -> tuple[bool, CongruencePartition | None]:
     n = m.order
     if n == 1:
         return False, None
-    trans = _translations(m)
+    sums, scalars = m.generating_translations
+    trans = sums + scalars
     universal = bytearray(n * n)
     for a in range(n):
         for b in range(a + 1, n):

@@ -6,9 +6,10 @@ defining equation closed transitively, isomorphism from all bijections,
 homs from all n^m maps, and from those homs the exactness of Hom sequences
 and the splittings of 0 -> K -> M -> M/K -> 0; small semirings up to
 isomorphism from all tables and all relabellings.
-The one route that walks neither, a certificate of semiring
-congruence-simplicity, closes one pair by a naive fixpoint and argues the
-rest from translations, so it also admits larger carriers.
+The routes that walk neither admit larger carriers: a principal
+congruence is a naive fixpoint under every translation, and a certificate
+of congruence-simplicity closes one pair that way and argues the rest
+from translations.
 Nothing is pruned, cached or shared with ``finsemi``: the routes read only
 plain operation tables, those ``finsemi.catalog`` builds or an engine result
 under comparison.  So where the engine and this module agree, two
@@ -225,36 +226,64 @@ def semiring_congruences(s) -> list[list[list[int]]]:
     return [p for p in _set_partitions(list(range(s.order))) if is_semiring_congruence(s, p)]
 
 
-def translations(s) -> list[list[int]]:
-    """The maps x -> x + c, x -> cx and x -> xc for every c, as image lists."""
+def bimodule(s) -> Module:
+    """A semiring acting on itself from both sides: one scalar row for each
+    left and each right multiplication.  Its submodules are the two-sided
+    ideals, and its congruences the semiring congruences."""
     rng = range(s.order)
-    out = []
-    for c in rng:
-        out.append([s.add[x][c] for x in rng])
-        out.append([s.mul[c][x] for x in rng])
-        out.append([s.mul[x][c] for x in rng])
-    return out
+    act = [list(s.mul[c]) for c in rng] + [[s.mul[x][c] for x in rng] for c in rng]
+    return Module(s.order, s.zero, s.add, act)
 
 
-def semiring_congruence_of_pair(s, a: int, b: int) -> list[list[int]]:
-    """The least semiring congruence relating a and b, as classes: the pair
-    and its images under every translation, closed reflexively and
-    transitively, in rounds until a round adds nothing.  An equivalence
-    closed under the translations is compatible with both operations, as
+def translations(s) -> list[list[int]]:
+    """The maps x -> x + c for every c, then every scalar row of a Module,
+    or x -> cx and x -> xc for every c of a semiring, as image lists."""
+    m = s if isinstance(s, Module) else bimodule(s)
+    rng = range(m.order)
+    return [[m.add[x][c] for x in rng] for c in rng] + [list(row) for row in m.act]
+
+
+def congruence_of_pair(s, a: int, b: int) -> list[list[int]]:
+    """The least congruence of a Module, or semiring congruence of a
+    semiring, relating a and b, as classes ordered by least member.
+
+    Classes are merged as sets.  Each pair that merges two classes has its
+    images under every translation that lie in two classes related in
+    turn, until no pair is left or one class holds the whole carrier.  The result is the equivalence
+    the merged pairs generate; it is closed under every translation, since
+    each merged pair's images are related, and it is the least such, since
+    each merged pair is forced.  An equivalence closed under the
+    translations is compatible with every operation, as
     x + y ~ x' + y ~ x' + y' (and alike for products)."""
+    n = s.order
     trans = translations(s)
-    rel = {(a, b), (b, a)}
+    cls = [frozenset({x}) for x in range(n)]
+    todo = [(a, b)]
+    while todo and len(cls[a]) < n:
+        x, y = todo.pop()
+        if y not in cls[x]:
+            merged = cls[x] | cls[y]
+            for z in merged:
+                cls[z] = merged
+            todo += [(u, v) for t in trans if (v := t[y]) not in cls[u := t[x]]]
+    return sorted({min(c): sorted(c) for c in cls}.values())
+
+
+def generated_by(tables, seed) -> frozenset:
+    """The least set holding ``seed`` and closed under every binary
+    operation in ``tables``, in rounds until a round adds nothing."""
+    sub = frozenset(seed)
     while True:
-        rel = _transitive_closure(s.order, rel)
-        bigger = rel | {(t[x], t[y]) for t in trans for x, y in rel}
-        if bigger == rel:
-            return _classes(s.order, rel)
-        rel = bigger
+        bigger = sub | {t[x][y] for t in tables for x in sub for y in sub}
+        if bigger == sub:
+            return sub
+        sub = bigger
 
 
 def certifies_congruence_simple(s) -> bool:
-    """True when this route confirms that the semiring s is congruence-simple;
-    False means only that it confirms nothing.
+    """True when this route confirms that s, a Module or a semiring (under
+    semiring congruences), is congruence-simple; False means only that it
+    confirms nothing.
 
     s is congruence-simple iff Cg(a, b) is universal for every pair a < b.
     The least congruence of the first pair is computed outright.  A later
@@ -267,7 +296,7 @@ def certifies_congruence_simple(s) -> bool:
     if s.order < 2:
         return False
     pairs = list(combinations(range(s.order), 2))
-    if len(semiring_congruence_of_pair(s, *pairs[0])) != 1:
+    if len(congruence_of_pair(s, *pairs[0])) != 1:
         return False
     trans = translations(s)
     return all(any(t[a] != t[b] and (min(t[a], t[b]), max(t[a], t[b])) < (a, b)

@@ -18,6 +18,7 @@ from finsemi.core import (
     _quotient,
     _sub_module,
     _scalar_rows,
+    _translations,
     bits,
     bourne_congruence,
     bourne_quotient,
@@ -45,7 +46,7 @@ from finsemi.core import (
 )
 from finsemi.errors import AxiomViolations, IncompatiblePartition, ShapeError
 from finsemi.auditor import enumerate_semirings
-from finsemi.catalog import chain_lattice, make_B, make_end_semiring
+from finsemi.catalog import chain_lattice, make_B, make_end_semiring, make_matrix_semiring
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +403,33 @@ def test_semiring_scalar_rows_are_built_once():
     assert _scalar_rows(s) is rows
     fresh = make_end_semiring(chain_lattice(3))
     assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+
+
+def test_closures_apply_the_generating_translations_only(monkeypatch):
+    # each table stores far fewer translations than the n + |S| (n + 2n on a
+    # semiring) that the checker applies, and no closure reads the full list
+    from finsemi import core, semisimple
+
+    m = make_end_semiring(chain_lattice(4)).left_module()
+    big = make_matrix_semiring(make_B(3, 1), 2).left_module()
+    assert (len(_translations(m)), len(_translations(big))) == (40, 162)
+    stored = m.generating_translations
+    assert sum(map(len, stored)) < 40 and m.generating_translations is stored
+    assert sum(map(len, big.generating_translations)) <= 7
+    assert "generating_translations" not in {f.name for f in fields(m)}
+
+    def whole_tables(parent):
+        raise AssertionError("a closure read every translation")
+
+    monkeypatch.setattr(core, "_translations", whole_tables)
+    monkeypatch.setattr(core, "_scalar_rows", whole_tables)
+    for s in (make_end_semiring(chain_lattice(4)), make_B(4, 3)):
+        for parent in (s, s.left_module()):
+            enumerate_congruences(parent)
+            semisimple.is_module_congruence_simple(parent)
+            semisimple.is_module_ideal_simple(parent)
+        enumerate_subsemimodules(s.left_module())
+        enumerate_subsemimodules(s.left_module(), subtractive_only=True)
 
 
 def _normalize(class_of):

@@ -39,7 +39,9 @@ from finsemi.core import (
     DEFAULT_LIMITS,
     LinearMap,
     Limits,
+    SemimoduleTable,
     SubStructure,
+    _closure_mask,
     _holds_on_additive_generators,
     bits,
     bourne_congruence,
@@ -64,7 +66,11 @@ from finsemi.projinj import (
     is_i_injective,
     is_k_projective,
 )
-from finsemi.semisimple import condition_profile, semiring_simplicity_profile
+from finsemi.semisimple import (
+    condition_profile,
+    is_module_congruence_simple,
+    semiring_simplicity_profile,
+)
 from finsemi.summands import golan_condition3
 
 
@@ -337,6 +343,100 @@ def test_congruences_of_a_module_with_no_cyclic_generator():
     m = product_module(mb, mb)
     assert not _is_cyclic(m)
     _check_congruences("B+B", m, oracle.congruences(oracle.as_module(m)))
+
+
+# ---------------------------------------------------------------------------
+# closures under the generating translations against closures under all
+
+
+FIXTURE_NAMES = ["B(3,1)", "B(3,2)", "B(4,3)", "B(6,5)", "BxB", "BxBxB", "E(M3)", "E(N5)"]
+
+
+def _plain(parent):
+    """The oracle's tables of a module, or of a semiring acting on itself
+    from both sides."""
+    if isinstance(parent, SemimoduleTable):
+        return oracle.as_module(parent)
+    return oracle.bimodule(parent)
+
+
+def _translation_sweep(catalog_fixtures):
+    """The semirings of order at most 4, their left modules and every member
+    of their bounded families, then the eight catalog fixtures and their
+    left modules."""
+    for name, s, family in _families():
+        yield name, s
+        for k, mod in enumerate(family):
+            yield f"{name} family {k}", mod
+    for name, s in catalog_fixtures:
+        yield name, s
+        yield f"{name} left module", s.left_module()
+
+
+def _check_principal_congruences(name, parent) -> None:
+    plain = _plain(parent)
+    for a, b in combinations(range(parent.order), 2):
+        got = _canonical(bits(c) for c in congruence_closure(parent, [(a, b)]).class_masks())
+        assert got == oracle.congruence_of_pair(plain, a, b), (name, a, b)
+
+
+def test_principal_congruences_against_every_translation():
+    for name, s, family in _families():
+        for k, parent in enumerate([s, *family]):
+            _check_principal_congruences(f"{name} ({k})", parent)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_principal_congruences_of_the_fixtures_against_every_translation(catalog_fixtures, name):
+    assert [n for n, _ in catalog_fixtures] == FIXTURE_NAMES
+    s = dict(catalog_fixtures)[name]
+    for parent in (s, s.left_module()):
+        _check_principal_congruences(name, parent)
+
+
+def test_principal_closures_against_the_naive_closure(catalog_fixtures):
+    # the subsemimodule, or two-sided ideal, generated by each element
+    for name, parent in _translation_sweep(catalog_fixtures):
+        plain = _plain(parent)
+        for x in range(parent.order):
+            assert set(bits(_closure_mask(parent, 1 << x))) == \
+                oracle.generated_submodule(plain, {x}), (name, x)
+
+
+def test_congruence_simplicity_against_the_certificate(catalog_fixtures):
+    # the certificate is sound, not complete: where it holds the engine must
+    # say simple; on small carriers all partitions decide both ways
+    certified = 0
+    for name, parent in _translation_sweep(catalog_fixtures):
+        plain = _plain(parent)
+        simple = is_module_congruence_simple(parent)[0]
+        if oracle.certifies_congruence_simple(plain):
+            certified += 1
+            assert simple, name
+        if parent.order <= 6:
+            assert simple == oracle.is_congruence_simple(plain), name
+    assert certified > 2
+
+
+def test_stored_generating_sets_generate_their_carriers(catalog_fixtures):
+    # the sums are x -> x + g for a set of g that generates the carrier under
+    # +; the scalars are the maps of a set of scalars that generates the base
+    # semiring under + and . together with 0 and 1
+    for name, parent in _translation_sweep(catalog_fixtures):
+        sums, scalars = parent.generating_translations
+        gens = [row[parent.zero] for row in sums]
+        assert [parent.add[g] for g in gens] == list(sums), name
+        assert oracle.generated_by([parent.add], {parent.zero, *gens}) == \
+            set(range(parent.order)), name
+        if isinstance(parent, SemimoduleTable):
+            base = parent.base
+            assert list(scalars) == [parent.act[t] for t in base.generators], name
+        else:
+            base = parent
+            assert list(scalars) == [row for t in base.generators for row in
+                                     (base.mul[t], tuple(r[t] for r in base.mul))], name
+        assert oracle.generated_by([base.add, base.mul], {base.zero, base.one, *base.generators}) \
+            == set(range(base.order)), name
 
 
 # ---------------------------------------------------------------------------

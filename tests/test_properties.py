@@ -1,13 +1,17 @@
-"""Property tests, drawn by ``hypothesis``.
+"""Property tests, drawn by ``hypothesis``: the generator gate of the
+axiom check, and closures and simplicity verdicts under relabelling.
 
 Each test runs derandomized and without the example database, so the suite
 stays deterministic; ``conftest.py`` keeps hypothesis's caches out of the
 checkout.
 """
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finsemi.auditor import enumerate_semirings
 from finsemi.catalog import (
     boolean_semiring,
     chain_lattice,
@@ -16,8 +20,21 @@ from finsemi.catalog import (
     make_product,
     pentagon_n5,
 )
-from finsemi.core import _holds_on_additive_generators, semiring_violations
+from finsemi.core import (
+    _closure_mask,
+    _holds_on_additive_generators,
+    bits,
+    congruence_closure,
+    generated_subsemimodule,
+    mask_of,
+    semiring_violations,
+)
 from finsemi.errors import Violation
+from finsemi.semisimple import (
+    is_module_congruence_simple,
+    is_module_ideal_simple,
+    semiring_simplicity_profile,
+)
 
 
 @pytest.fixture(scope="module")
@@ -133,3 +150,49 @@ def test_generator_gate_sees_each_law_alone(law, data):
     assert {v.law for v in want} == {law}
     assert not _holds_on_additive_generators(add, mul, zero)
     assert semiring_violations(add, mul, zero, one) == want
+
+
+@pytest.fixture(scope="module")
+def relabel_sources(catalog_fixtures):
+    """The semirings of order at most 4 and the catalog fixtures of order at
+    most 8."""
+    corpus = [(f"sr{s.order}, index {k}", s)
+              for k, s in enumerate(s for order in (2, 3, 4) for s in enumerate_semirings(order))]
+    return corpus + [(name, s) for name, s in catalog_fixtures if s.order <= 8]
+
+
+def _moved(class_of, pi):
+    """A normalized class map carried along x -> pi[x], normalized again."""
+    moved = [0] * len(pi)
+    for x, c in enumerate(class_of):
+        moved[pi[x]] = c
+    remap = {}
+    return tuple(remap.setdefault(c, len(remap)) for c in moved)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_closures_and_verdicts_commute_with_relabelling(relabel_sources, relabelled, data):
+    # the generating translations are chosen greedily in index order, so a
+    # relabelled copy closes under other generators; every principal
+    # congruence, principal subsemimodule or two-sided ideal and both
+    # simplicity verdicts must still follow the relabelling
+    name, s = data.draw(st.sampled_from(relabel_sources))
+    pi = data.draw(st.permutations(range(s.order)))
+    r = relabelled(s, pi)
+    for parent, image in ((s, r), (s.left_module(), r.left_module())):
+        for a, b in combinations(range(s.order), 2):
+            want = _moved(congruence_closure(parent, [(a, b)]).class_of, pi)
+            assert congruence_closure(image, [(pi[a], pi[b])]).class_of == want, (name, a, b)
+        for x in range(s.order):
+            want = mask_of(pi[y] for y in bits(_closure_mask(parent, 1 << x)))
+            assert _closure_mask(image, 1 << pi[x]) == want, (name, x)
+    m, mr = s.left_module(), r.left_module()
+    for x in range(s.order):
+        want = mask_of(pi[y] for y in bits(generated_subsemimodule(m, [x]).members))
+        assert generated_subsemimodule(mr, [pi[x]]).members == want, (name, x)
+    assert is_module_ideal_simple(mr)[0] == is_module_ideal_simple(m)[0], name
+    assert is_module_congruence_simple(mr)[0] == is_module_congruence_simple(m)[0], name
+    prof, prof_r = semiring_simplicity_profile(s), semiring_simplicity_profile(r)
+    assert (prof_r.ideal_simple, prof_r.congruence_simple) == \
+        (prof.ideal_simple, prof.congruence_simple), name
