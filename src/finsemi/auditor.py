@@ -28,6 +28,7 @@ from .core import (
     SemiringTable,
     SubStructure,
     Table,
+    _Budget,
     _bourne_quotient,
     _quotient,
     _semiring_table,
@@ -121,9 +122,7 @@ def enumerate_semirings(order: int, commutative_only: bool = False,
     multiplicative associativity or of either distributive law fails among
     those whose cells are all set.  So every leaf satisfies every axiom and
     is built unchecked; it is kept when it is its own canonical form.  Each
-    search node is one step of ``limits.max_steps``.  The search stops, not
-    exhaustive, at that limit or when it finds a semiring beyond the first
-    ``limits.max_results``.
+    search node is one step of :class:`core.Limits`.
     """
     if order < 2:
         return Enumeration(items=(), exhaustive=True)
@@ -168,36 +167,32 @@ def enumerate_semirings(order: int, commutative_only: bool = False,
         return True
 
     found: list[SemiringTable] = []
-    steps = 0
+    budget = _Budget(limits.max_steps, limits.max_results)
 
-    def search(k: int) -> bool:
-        """Extend the tables from cell k on; False once a limit is hit."""
-        nonlocal steps
-        steps += 1
-        if steps > limits.max_steps:
-            return False
+    def search(k: int) -> None:
+        """Extend the tables from cell k on."""
+        budget.step()
         if k == len(cells):
             s = _semiring_table(tuple(map(tuple, add)), tuple(map(tuple, mul)), 0, 1)
             if (s.add, s.mul) == canonical_form(s):
-                if len(found) >= limits.max_results:
-                    return False
+                budget.admit(len(found))
                 found.append(s)
-            return True
+            return
         table, i, j, mirror = cells[k]
         for v in rng:
             table[i][j] = v
             if mirror:
                 table[j][i] = v
-            if consistent() and not search(k + 1):
-                return False
+            if consistent():
+                search(k + 1)
         table[i][j] = None
         if mirror:
             table[j][i] = None
-        return True
 
-    exhaustive = search(0)
+    with budget:
+        search(0)
     found.sort(key=lambda s: (s.add, s.mul))
-    return Enumeration(items=tuple(found), exhaustive=exhaustive)
+    return Enumeration(items=tuple(found), exhaustive=budget.exhaustive)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +536,7 @@ def lemma_suite(s: SemiringTable, limits: Limits = DEFAULT_LIMITS,
         # d-iso (2): M = K + L direct implies M/K iso L
         for a, b in pair_sums:
             quot, _ = _bourne_quotient(mod, a.subtractive_closure_members)
-            if not are_isomorphic(quot, sub_module(b)[0]):
+            if not are_isomorphic(quot, sub_module(b)[0], limits):
                 failed["rem-d-iso.2"] = ""
         # lemint: subtractive N, mod = L + K direct, L <= N  =>  N = L + (K n N)
         subt_masks = [t.members for t in subs if t.is_subtractive()]
@@ -711,7 +706,7 @@ def fixture_expectation_records(limits: Limits = DEFAULT_LIMITS) -> list[ClaimRe
                    for c in range(quot.order) if c != quot.zero]
         idempotent = all(imod.add[x][x] == x for x in range(imod.order))
         expect("B(3,1)", "ex-b31.quotient-iso-ideal", True,
-               are_isomorphic(quot, imod),
+               are_isomorphic(quot, imod, limits),
                f"claimed S/I and I isomorphic; computed quotient has {', '.join(nonzero)} "
                f"while the ideal is {'' if idempotent else 'not '}additively idempotent")
     for p in (3, 5):
@@ -726,7 +721,7 @@ def fixture_expectation_records(limits: Limits = DEFAULT_LIMITS) -> list[ClaimRe
             rows = {}
             truncated = []  # the variants whose C2/C2' search hit a limit
             for variant, top in (("all-endos", False), ("top-preserving", True)):
-                e = catalog.make_end_semiring(lat, top_preserving=top)
+                e = catalog.make_end_semiring(lat, top_preserving=top, limits=limits)
                 sp = semiring_simplicity_profile(e)
                 cp = condition_profile(e, limits)
                 if not cp.exhaustive:

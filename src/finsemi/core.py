@@ -88,7 +88,16 @@ def full_mask(order: int) -> int:
 
 @dataclass(frozen=True)
 class Limits:
-    """Search bounds; every enumeration carries an exhaustiveness marker."""
+    """Search bounds, and the one rule by which they cut an enumeration.
+
+    Each enumeration counts its steps (its docstring says what one step
+    is).  It stops at the step past ``max_steps``, or at a result beyond
+    the first ``max_results``; a Hom search counts nodes against
+    ``max_hom_nodes`` and has no result cap.  A stopped search keeps the
+    results found so far, each a correct one, and returns them with
+    ``exhaustive=False`` (see :class:`Enumeration`); an answer that just
+    fits under ``max_results`` is no cut.  ``max_carrier`` bounds the
+    carrier of a semiring the catalog builds."""
 
     max_results: int = 200_000
     max_steps: int = 20_000_000
@@ -131,6 +140,64 @@ class Enumeration:
         if not self.exhaustive:
             raise LimitExceeded(f"{what} truncated")
         return self.items
+
+
+class _Cut(Exception):
+    """A limit cut the search; raised and caught by :class:`_Budget` only."""
+
+
+class _Budget:
+    """The rule of :class:`Limits` for one search.  :meth:`step` counts one
+    step against ``steps`` and :meth:`admit` checks that one more result
+    fits under ``results``; past either limit they raise :class:`_Cut`.  As
+    a context manager around the search it catches the cut, so the search
+    keeps what it found, and sets :attr:`exhaustive` to False.  A search
+    with no result cap leaves ``results`` None and never calls admit."""
+
+    __slots__ = ("left", "results", "exhaustive")
+
+    def __init__(self, steps: int, results: int | None = None):
+        self.left = steps
+        self.results = results
+        self.exhaustive = True
+
+    def step(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise _Cut
+
+    def admit(self, found: int) -> None:
+        """One more result fits beside the ``found`` ones."""
+        if found >= self.results:
+            raise _Cut
+
+    def __enter__(self) -> _Budget:
+        return self
+
+    def __exit__(self, kind, value, traceback) -> bool:
+        if kind is _Cut:
+            self.exhaustive = False
+            return True
+        return False
+
+
+def _join_closure(seen: set, joins, budget: _Budget) -> None:
+    """Join-close ``seen`` in place: the closed sets of a lattice are the
+    joins of its principal ones (Freese, "Computing congruences
+    efficiently", *Algebra Universalis* 59, 2008).  ``joins(x)`` yields the
+    join of x with each principal set not below it, and every set that
+    ``seen`` holds or gains is extended so.  Each yielded join is one step
+    of ``budget``, and a join not yet seen is kept when one more result
+    fits.  The walk is depth-first from the last set found; a cut leaves in
+    ``seen`` what was found before it."""
+    queue = list(seen)
+    while queue:
+        for bigger in joins(queue.pop()):
+            budget.step()
+            if bigger not in seen:
+                budget.admit(len(seen))
+                seen.add(bigger)
+                queue.append(bigger)
 
 
 # ---------------------------------------------------------------------------
@@ -227,20 +294,6 @@ class SemiringTable:
 
     def elements(self) -> range:
         return range(self.order)
-
-    @cached_property
-    def scalar_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Left and right multiplication by each element as image rows,
-        interleaved: every map a two-sided ideal or a semiring congruence is
-        closed under.  Only the checker :func:`partition_violations` reads
-        them all; closures read :attr:`generating_translations`.  Computed
-        once per table; not a dataclass field, so it is left out of eq, hash
-        and repr."""
-        out = []
-        for c in range(self.order):
-            out.append(self.mul[c])
-            out.append(tuple(row[c] for row in self.mul))
-        return tuple(out)
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -811,23 +864,20 @@ def universal_partition(parent: Parent) -> CongruencePartition:
     return CongruencePartition(parent, (0,) * parent.order)
 
 
-def _scalar_rows(parent: Parent) -> Sequence[tuple[int, ...]]:
-    """The scalar maps of ``parent`` as image rows: the action of each
-    scalar on a semimodule; :attr:`SemiringTable.scalar_rows` on a
-    semiring."""
-    if isinstance(parent, SemimoduleTable):
-        return parent.act
-    return parent.scalar_rows
-
-
 def _translations(parent: Parent) -> list[tuple[int, ...]]:
     """Every unary polynomial translation that a congruence must respect:
     x -> x + c for each c (row c of the commutative addition), then the
-    scalar maps.  The checker :func:`partition_violations` reads these, so
-    that it does not rest on the generator argument of
-    :func:`_generating_translations` that it checks."""
+    scalar maps: the action of each scalar on a semimodule, left and right
+    multiplication by each element, interleaved, on a semiring.  The
+    checker :func:`partition_violations` reads these, so that it does not
+    rest on the generator argument of :func:`_generating_translations` that
+    it checks."""
     out = list(parent.add)
-    out.extend(_scalar_rows(parent))
+    if isinstance(parent, SemimoduleTable):
+        out.extend(parent.act)
+    else:
+        for row, col in zip(parent.mul, zip(*parent.mul)):
+            out += (row, col)
     return out
 
 
@@ -1234,23 +1284,20 @@ def enumerate_subsemimodules(m: SemimoduleTable, limits: Limits = DEFAULT_LIMITS
     """All SubStructures of ``m`` in ascending bitset order.
 
     The search starts from the least closed set and extends each closed set
-    it finds by every element outside it.  An extension is closed from the
-    new element only, on top of the closed set (see :func:`_closure_mask`),
-    and ends early when it reaches the whole carrier.  With
-    ``subtractive_only`` each extension is also closed subtractively, so
-    the search walks the lattice of subtractive subsemimodules directly and
-    reaches exactly those.  When the addition of ``m`` is idempotent, the
-    subtractive lattice is read off the principal down-sets instead, with
-    no closure (see :func:`_subtractive_down_sets`).
+    it finds by every element outside it (:func:`_join_closure`).  An
+    extension is closed from the new element only, on top of the closed set
+    (see :func:`_closure_mask`), and ends early when it reaches the whole
+    carrier.  With ``subtractive_only`` each extension is also closed
+    subtractively, so the search walks the lattice of subtractive
+    subsemimodules directly and reaches exactly those.  When the addition
+    of ``m`` is idempotent, the subtractive lattice is read off the
+    principal down-sets instead, with no closure (see
+    :func:`_subtractive_down_sets`).
 
-    Each tried extension (each tried down-set) is one step.  When
-    ``max_steps`` is reached, or a closed set beyond the first
-    ``max_results`` is found, the items are the closed sets found so far
-    (at most ``max_results``), each a real SubStructure (subtractive, with
-    ``subtractive_only``), and ``exhaustive`` is False.
-
-    Each lattice, full or subtractive, is stored on ``m`` by ``limits``,
-    truncated or not.
+    Each tried extension (each tried down-set) is one step of
+    :class:`Limits`; a cut keeps real SubStructures (subtractive, with
+    ``subtractive_only``).  Each lattice, full or subtractive, is stored on
+    ``m`` by ``limits``, cut or not.
     """
     return _stored(m, _lattice, (limits, subtractive_only))
 
@@ -1260,31 +1307,13 @@ def _lattice(m: SemimoduleTable, key: tuple[Limits, bool]) -> Enumeration:
     if subtractive_only and _is_idempotent(m):
         return _subtractive_down_sets(m, limits)
     close = _subtractive_closed_closure if subtractive_only else _closure_mask
-    start = close(m, 0)
-    seen = {start}
-    queue = [start]
-    exhaustive = True
-    steps = 0
-    while queue:
-        current = queue.pop()
-        for x in range(m.order):
-            if current >> x & 1:
-                continue
-            steps += 1
-            if steps > limits.max_steps:
-                exhaustive = False
-                queue.clear()
-                break
-            nxt = close(m, 1 << x, current)
-            if nxt not in seen:
-                if len(seen) >= limits.max_results:
-                    exhaustive = False
-                    queue.clear()
-                    break
-                seen.add(nxt)
-                queue.append(nxt)
+    full = full_mask(m.order)
+    seen = {close(m, 0)}
+    with _Budget(limits.max_steps, limits.max_results) as budget:
+        _join_closure(seen, lambda current: (close(m, 1 << x, current)
+                                             for x in bits(full & ~current)), budget)
     subs = tuple(SubStructure(m, mask) for mask in sorted(seen))
-    return Enumeration(items=subs, exhaustive=exhaustive)
+    return Enumeration(items=subs, exhaustive=budget.exhaustive)
 
 
 def _subtractive_down_sets(m: SemimoduleTable, limits: Limits) -> Enumeration:
@@ -1304,27 +1333,18 @@ def _subtractive_down_sets(m: SemimoduleTable, limits: Limits) -> Enumeration:
     Distinct c give distinct D(c).
 
     D(zero) = {zero} is the least and is put in before any step; every other
-    candidate c, in ascending order, is one step.  The limits cut as in
-    :func:`enumerate_subsemimodules`."""
+    candidate c, in ascending order, is one step."""
     add, n = m.add, m.order
     scalars = m.generating_translations[1]
     found = [1 << m.zero]
-    exhaustive = True
-    steps = 0
-    for c in range(n):
-        if c == m.zero:
-            continue
-        steps += 1
-        if steps > limits.max_steps:
-            exhaustive = False
-            break
-        if all(add[row[c]][c] == c for row in scalars):
-            if len(found) >= limits.max_results:
-                exhaustive = False
-                break
-            found.append(mask_of(x for x in range(n) if add[x][c] == c))
+    with _Budget(limits.max_steps, limits.max_results) as budget:
+        for c in bits(full_mask(n) ^ 1 << m.zero):
+            budget.step()
+            if all(add[row[c]][c] == c for row in scalars):
+                budget.admit(len(found))
+                found.append(mask_of(x for x in range(n) if add[x][c] == c))
     subs = tuple(SubStructure(m, mask) for mask in sorted(found))
-    return Enumeration(items=subs, exhaustive=exhaustive)
+    return Enumeration(items=subs, exhaustive=budget.exhaustive)
 
 
 def enumerate_congruences(parent: Parent, limits: Limits = DEFAULT_LIMITS) -> Enumeration:
@@ -1335,47 +1355,24 @@ def enumerate_congruences(parent: Parent, limits: Limits = DEFAULT_LIMITS) -> En
     congruence is a join of principal ones.  So each principal congruence
     Cg(a, b) over the pairs of :func:`_principal_pairs` (every pair a < b,
     or only the covering pairs when the addition is idempotent) is closed
-    once, and the diagonal is then join-closed over the distinct ones; a
-    join merges two class maps and applies no translation.  A join with
-    Cg(a, b) is skipped when a and b are already related, because the
-    result is then the congruence itself.
+    once, and the diagonal is then join-closed over the distinct ones
+    (:func:`_join_closure`); a join merges two class maps and applies no
+    translation.  A join with Cg(a, b) is skipped when a and b are already
+    related, because the result is then the congruence itself.
 
-    Each principal closure and each join is one step.  When ``max_steps``
-    is reached, or a congruence beyond the first ``max_results`` is found,
-    the items are the congruences found so far (at most ``max_results``),
-    each a real congruence, and ``exhaustive`` is False.
+    Each principal closure and each join is one step of :class:`Limits`; a
+    cut keeps real congruences.
     """
-    n = parent.order
-    exhaustive = True
-    steps = 0
+    seen = {tuple(range(parent.order))}
     principals: dict[tuple[int, ...], tuple[int, int]] = {}
-    for a, b in _principal_pairs(parent):
-        steps += 1
-        if steps > limits.max_steps:
-            exhaustive = False
-            break
-        principals.setdefault(congruence_closure(parent, [(a, b)]).class_of, (a, b))
-    delta = tuple(range(n))
-    seen = {delta}
-    queue = [delta]
-    while queue and exhaustive:
-        rho = queue.pop()
-        for cg, (a, b) in principals.items():
-            if rho[a] == rho[b]:
-                continue
-            steps += 1
-            if steps > limits.max_steps:
-                exhaustive = False
-                break
-            bigger = _join(rho, cg)
-            if bigger not in seen:
-                if len(seen) >= limits.max_results:
-                    exhaustive = False
-                    break
-                seen.add(bigger)
-                queue.append(bigger)
+    with _Budget(limits.max_steps, limits.max_results) as budget:
+        for a, b in _principal_pairs(parent):
+            budget.step()
+            principals.setdefault(congruence_closure(parent, [(a, b)]).class_of, (a, b))
+        _join_closure(seen, lambda rho: (_join(rho, cg) for cg, (a, b) in principals.items()
+                                         if rho[a] != rho[b]), budget)
     ordered = tuple(CongruencePartition(parent, key) for key in sorted(seen))
-    return Enumeration(items=ordered, exhaustive=exhaustive)
+    return Enumeration(items=ordered, exhaustive=budget.exhaustive)
 
 
 def _join(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:

@@ -17,6 +17,7 @@ from .core import (
     SemimoduleTable,
     SubStructure,
     Table,
+    _Budget,
     _bourne_quotient,
     _cyclic_generator,
     _is_linear,
@@ -137,10 +138,9 @@ def enumerate_homs(source: SemimoduleTable, target: SemimoduleTable,
     per element.  Any other source takes the DFS, :func:`_dfs_homs`: it
     tries each candidate image of each generator in turn, extends the map
     to the submodule generated so far, and backtracks as soon as that is
-    not linear.  Each candidate image is one node against
-    ``max_hom_nodes``; a non-exhaustive result only ever drops maps, never
-    invents them.  Modules over different bases have no map between them:
-    the result is empty and exhaustive.  Over one base, an exhaustive
+    not linear.  Each candidate image is one node of :class:`core.Limits`
+    (``max_hom_nodes``).  Modules over different bases have no map between
+    them: the result is empty and exhaustive.  Over one base, an exhaustive
     result holds the zero map.
     """
     return _enumerate_homs_cached(source, target, limits.max_hom_nodes)
@@ -170,14 +170,12 @@ def _yoneda_homs(source: SemimoduleTable, target: SemimoduleTable, g: int,
     scalars = tuple(map(first.__getitem__, range(source.order)))
     columns = target.columns
     found: list[LinearMap] = []
-    exhaustive = True
-    for nodes, v in enumerate(_hom_candidates(source, target, g), 1):
-        if nodes > max_nodes:
-            exhaustive = False
-            break
-        found.append(_linear_map(source, target, tuple(map(columns[v].__getitem__, scalars))))
+    with _Budget(max_nodes) as budget:
+        for v in _hom_candidates(source, target, g):
+            budget.step()
+            found.append(_linear_map(source, target, tuple(map(columns[v].__getitem__, scalars))))
     found.sort(key=lambda f: f.image_of)
-    return Enumeration(items=tuple(found), exhaustive=exhaustive)
+    return Enumeration(items=tuple(found), exhaustive=budget.exhaustive)
 
 
 def _dfs_homs(source: SemimoduleTable, target: SemimoduleTable,
@@ -195,28 +193,24 @@ def _dfs_homs(source: SemimoduleTable, target: SemimoduleTable,
     tadd, tact = target.add, target.act
     img = [target.zero] * source.order
     found: list[LinearMap] = []
-    nodes = 0
-    exhaustive = True
+    budget = _Budget(max_nodes)
 
     def dfs(depth: int) -> None:
-        nonlocal nodes, exhaustive
         if depth == len(stages):
             found.append(_linear_map(source, target, tuple(img)))
             return
         part, to_parent, derived = stages[depth]
         for v in candidates[depth]:
-            nodes += 1
-            if nodes > max_nodes:
-                exhaustive = False
-                return
+            budget.step()
             for x, y, s in derived:
                 img[x] = tadd[img[y]][tact[s][v]]
             if _is_linear(part, target, tuple(map(img.__getitem__, to_parent))):
                 dfs(depth + 1)
 
-    dfs(0)
+    with budget:
+        dfs(0)
     found.sort(key=lambda f: f.image_of)
-    return Enumeration(items=tuple(found), exhaustive=exhaustive)
+    return Enumeration(items=tuple(found), exhaustive=budget.exhaustive)
 
 
 class _MapKeys:
@@ -293,30 +287,32 @@ def normality_profile(f: LinearMap) -> NormalityProfile:
 # isomorphism search
 
 
-def find_isomorphism(m: SemimoduleTable, n: SemimoduleTable) -> LinearMap | None:
+def find_isomorphism(m: SemimoduleTable, n: SemimoduleTable,
+                     limits: Limits = DEFAULT_LIMITS) -> LinearMap | None:
     """The first S-linear bijection m -> n among the enumerated homs, or None.
 
     Modules whose element signatures (:func:`_scalar_signature`) differ as
     multisets are rejected without a search.  Otherwise the answer is the
-    first injective map of :func:`enumerate_homs`, which on equal orders is
-    a bijection.  On an exhaustive enumeration that is the first bijection
-    in image-tuple order; a truncated one drops maps, so its first bijection
-    need not be.  Raises :class:`LimitExceeded` when the enumeration is
+    first injective map of :func:`enumerate_homs` under ``limits``, which
+    on equal orders is a bijection.  On an exhaustive enumeration that is
+    the first bijection in image-tuple order; a truncated one drops maps,
+    so its first bijection need not be.  Raises :class:`LimitExceeded` when the enumeration is
     truncated and holds no bijection, since one may lie beyond the cut."""
     if m.base != n.base or m.order != n.order:
         return None
     if (sorted(_scalar_signature(m, x) for x in range(m.order))
             != sorted(_scalar_signature(n, x) for x in range(n.order))):
         return None
-    homs = enumerate_homs(m, n)
+    homs = enumerate_homs(m, n, limits)
     iso = next((f for f in homs if f.is_injective()), None)
     if iso is None and not homs.exhaustive:
         raise LimitExceeded("hom enumeration truncated before an isomorphism was found")
     return iso
 
 
-def are_isomorphic(m: SemimoduleTable, n: SemimoduleTable) -> bool:
-    return find_isomorphism(m, n) is not None
+def are_isomorphic(m: SemimoduleTable, n: SemimoduleTable,
+                   limits: Limits = DEFAULT_LIMITS) -> bool:
+    return find_isomorphism(m, n, limits) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def bounded_family(s: SemiringTable,
     or an isomorphism search is truncated."""
     kept: list[SemimoduleTable] = []
     for mod in module_test_family(s.left_module(), limits):
-        if not any(are_isomorphic(mod, seen) for seen in kept):
+        if not any(are_isomorphic(mod, seen, limits) for seen in kept):
             kept.append(mod)
     return kept
 

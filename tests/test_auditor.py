@@ -294,6 +294,16 @@ def test_truncated_fixture_expectations_are_unknown():
     assert by_id[("B(3,1)", "ex-b31.quotient-iso-ideal")].exhaustive
 
 
+def test_fixture_expectations_build_the_end_semirings_under_the_callers_limits():
+    # E(M3) has 50 endomorphisms and E(N5) 43, so a carrier bound of 10
+    # builds neither End semiring
+    by_id = {(r.instance, r.claim_id): r for r in fixture_expectation_records(Limits(max_carrier=10))}
+    for name, size in (("E(M3)", 50), ("E(N5)", 43)):
+        rec = by_id[(name, "rem-indp.5")]
+        assert (rec.verdict, rec.exhaustive) == ("unknown", False), name
+        assert rec.witness == f"{size} endomorphisms exceed limit 10", name
+
+
 def test_audit_product_all_items_hold(BxB):
     rep = audit_instance(BxB, instance="BxB")
     assert not rep.hard_failures()

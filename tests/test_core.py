@@ -17,7 +17,6 @@ from finsemi.core import (
     _bourne_quotient,
     _quotient,
     _sub_module,
-    _scalar_rows,
     _translations,
     bits,
     bourne_congruence,
@@ -47,6 +46,7 @@ from finsemi.core import (
 from finsemi.errors import AxiomViolations, IncompatiblePartition, ShapeError
 from finsemi.auditor import enumerate_semirings
 from finsemi.catalog import chain_lattice, make_B, make_end_semiring, make_matrix_semiring
+from finsemi.homs import enumerate_homs
 
 
 # ---------------------------------------------------------------------------
@@ -389,20 +389,15 @@ def test_truncated_congruence_enumeration(B43, limits):
         assert partition_violations(m, rho.class_of) == []
 
 
-def test_semiring_scalar_rows_are_built_once():
-    # left and right multiplication by each element, interleaved, stored on
-    # the table without entering its equality, hash or repr
+def test_semiring_translations_interleave_left_and_right_multiplication():
+    # after the sums, left and right multiplication by each element, in turn
     s = make_end_semiring(chain_lattice(3))
     assert not s.commutative
-    rows = _scalar_rows(s)
     expected = []
     for c in range(s.order):
         expected.append(s.mul[c])
         expected.append(tuple(s.mul[r][c] for r in range(s.order)))
-    assert list(rows) == expected
-    assert _scalar_rows(s) is rows
-    fresh = make_end_semiring(chain_lattice(3))
-    assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+    assert _translations(s) == list(s.add) + expected
 
 
 def test_closures_apply_the_generating_translations_only(monkeypatch):
@@ -422,7 +417,6 @@ def test_closures_apply_the_generating_translations_only(monkeypatch):
         raise AssertionError("a closure read every translation")
 
     monkeypatch.setattr(core, "_translations", whole_tables)
-    monkeypatch.setattr(core, "_scalar_rows", whole_tables)
     for s in (make_end_semiring(chain_lattice(4)), make_B(4, 3)):
         for parent in (s, s.left_module()):
             enumerate_congruences(parent)
@@ -695,6 +689,89 @@ def test_limits_reject_a_result_cap_below_one(cap):
     # each enumerator puts its first result in before any cap check
     with pytest.raises(ValueError):
         Limits(max_results=cap)
+
+
+def _square_of_b31():
+    """B(3,1) + B(3,1), order 9: not additively idempotent and not cyclic."""
+    m = make_B(3, 1).left_module()
+    return product_module(m, m)
+
+
+def _left_e_c4():
+    """E(C4) on itself, order 20: additively idempotent and cyclic."""
+    return make_end_semiring(chain_lattice(4)).left_module()
+
+
+# each enumerator by what it enumerates, and the limits that cut it
+_STEPS_AND_RESULTS = ("max_steps", "max_results")
+_ENUMERATORS = {
+    "subsemimodules of B(3,1)^2": (lambda limits: enumerate_subsemimodules(
+        _square_of_b31(), limits), _STEPS_AND_RESULTS),
+    "subtractive subsemimodules of B(3,1)^2": (lambda limits: enumerate_subsemimodules(
+        _square_of_b31(), limits, subtractive_only=True), _STEPS_AND_RESULTS),
+    "subsemimodules of E(C4)": (lambda limits: enumerate_subsemimodules(
+        _left_e_c4(), limits), _STEPS_AND_RESULTS),
+    "subtractive subsemimodules of E(C4)": (lambda limits: enumerate_subsemimodules(
+        _left_e_c4(), limits, subtractive_only=True), _STEPS_AND_RESULTS),
+    "congruences of B(3,1)^2": (lambda limits: enumerate_congruences(
+        _square_of_b31(), limits), _STEPS_AND_RESULTS),
+    "congruences of E(C4)": (lambda limits: enumerate_congruences(
+        _left_e_c4(), limits), _STEPS_AND_RESULTS),
+    "homs out of cyclic E(C4)": (lambda limits: enumerate_homs(
+        _left_e_c4(), _left_e_c4(), limits), ("max_hom_nodes",)),
+    "homs out of non-cyclic B(3,1)^2": (lambda limits: enumerate_homs(
+        _square_of_b31(), _square_of_b31(), limits), ("max_hom_nodes",)),
+    "semirings of order 3": (lambda limits: enumerate_semirings(3, limits=limits),
+                             _STEPS_AND_RESULTS),
+    "semirings of order 4": (lambda limits: enumerate_semirings(4, limits=limits),
+                             _STEPS_AND_RESULTS),
+}
+
+
+def _first_exhaustive(run, field: str) -> int:
+    """The least value of ``field`` under which ``run`` is exhaustive."""
+    hi = 1
+    while not run(Limits(**{field: hi})).exhaustive:
+        hi *= 2
+    lo = hi // 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if run(Limits(**{field: mid})).exhaustive:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("name", list(_ENUMERATORS))
+def test_every_enumerator_cuts_by_the_one_rule(name):
+    # over a sweep of each limit: the items are the full answer's, in its
+    # order, and a result cap keeps exactly as many as it allows; exhaustive
+    # means the full answer and holds at every larger limit, from a result
+    # cap that the answer just fits on; a larger limit drops no item
+    run, cut_by = _ENUMERATORS[name]
+    full = run(Limits())
+    assert full.exhaustive
+    position = {x: i for i, x in enumerate(full.items)}
+    assert len(position) == len(full) > 2
+    for field in cut_by:
+        first = _first_exhaustive(run, field)
+        low = 1 if field == "max_results" else 0
+        assert first > low
+        assert field != "max_results" or first == len(full)
+        values = sorted({*range(low, min(first, 12)), *range(low, first, 1 + first // 40),
+                         first - 1, first, first + 1, 2 * first})
+        before: set = set()
+        for v in values:
+            cut = run(Limits(**{field: v}))
+            at = [position[x] for x in cut.items]
+            assert at == sorted(set(at)), (field, v)
+            assert field != "max_results" or len(cut) == min(v, len(full)), v
+            assert before <= set(cut.items), (field, v)
+            assert cut.exhaustive == (v >= first), (field, v)
+            if cut.exhaustive:
+                assert cut.items == full.items
+            before = set(cut.items)
 
 
 def test_subtractive_lattice_is_stored_per_table_and_limits(monkeypatch):

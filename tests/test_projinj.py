@@ -232,6 +232,15 @@ def test_middle_hom_monoid_built_once(B31, monkeypatch, decider):
 # truncation
 
 
+def test_bounded_family_searches_isomorphisms_under_the_callers_limits():
+    # one node cuts the first isomorphism search among the members before
+    # it finds a bijection, so the family cannot tell them apart
+    s = make_B(4, 3)
+    assert len(bounded_family(s)) == 4
+    with pytest.raises(LimitExceeded):
+        bounded_family(s, Limits(max_hom_nodes=1))
+
+
 @pytest.mark.parametrize("decider", [is_k_projective, is_e_projective])
 def test_truncated_test_maps_raise(B31, decider):
     # Hom(P, M) fits in one node, Hom(P, M/K) does not: a decider that

@@ -25,6 +25,8 @@ from finsemi.core import (
     _holds_on_additive_generators,
     bits,
     congruence_closure,
+    enumerate_congruences,
+    enumerate_subsemimodules,
     generated_subsemimodule,
     mask_of,
     semiring_violations,
@@ -175,8 +177,9 @@ def _moved(class_of, pi):
 def test_closures_and_verdicts_commute_with_relabelling(relabel_sources, relabelled, data):
     # the generating translations are chosen greedily in index order, so a
     # relabelled copy closes under other generators; every principal
-    # congruence, principal subsemimodule or two-sided ideal and both
-    # simplicity verdicts must still follow the relabelling
+    # congruence, principal subsemimodule or two-sided ideal, the three
+    # lattices of the join-closure walk and both simplicity verdicts must
+    # still follow the relabelling
     name, s = data.draw(st.sampled_from(relabel_sources))
     pi = data.draw(st.permutations(range(s.order)))
     r = relabelled(s, pi)
@@ -191,6 +194,13 @@ def test_closures_and_verdicts_commute_with_relabelling(relabel_sources, relabel
     for x in range(s.order):
         want = mask_of(pi[y] for y in bits(generated_subsemimodule(m, [x]).members))
         assert generated_subsemimodule(mr, [pi[x]]).members == want, (name, x)
+    for subtractive_only in (False, True):
+        want = sorted(mask_of(pi[y] for y in bits(t.members))
+                      for t in enumerate_subsemimodules(m, subtractive_only=subtractive_only))
+        got = enumerate_subsemimodules(mr, subtractive_only=subtractive_only)
+        assert [t.members for t in got] == want, (name, subtractive_only)
+    want = sorted(_moved(rho.class_of, pi) for rho in enumerate_congruences(m))
+    assert [rho.class_of for rho in enumerate_congruences(mr)] == want, name
     assert is_module_ideal_simple(mr)[0] == is_module_ideal_simple(m)[0], name
     assert is_module_congruence_simple(mr)[0] == is_module_congruence_simple(m)[0], name
     prof, prof_r = semiring_simplicity_profile(s), semiring_simplicity_profile(r)
